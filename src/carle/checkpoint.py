@@ -2,12 +2,15 @@
 and the forest, in one self-describing npz container with a versioned header."""
 
 import json
+import zipfile
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .forest import Forest, ForestConfig, RegressionTree
+from .forest import Forest, ForestConfig
 from .nn.model import CarleNet
 
 FORMAT_MAGIC = "carle-checkpoint"
@@ -38,41 +41,6 @@ class Scaler:
     def transform(self, X) -> np.ndarray:
         z = (np.asarray(X, dtype=np.float64) - self.mean) / self.std
         return np.clip(z, -self.clip, self.clip)
-
-
-def _pack_forest(forest: Forest, arrays: dict):
-    feats, thrs, lefts, rights, vals, offsets = [], [], [], [], [], [0]
-    for tree in forest.trees:
-        feats.append(tree.feature)
-        thrs.append(tree.threshold)
-        lefts.append(tree.left)
-        rights.append(tree.right)
-        vals.append(tree.value)
-        offsets.append(offsets[-1] + len(tree.feature))
-    arrays["forest::feature"] = np.concatenate(feats)
-    arrays["forest::threshold"] = np.concatenate(thrs)
-    arrays["forest::left"] = np.concatenate(lefts)
-    arrays["forest::right"] = np.concatenate(rights)
-    arrays["forest::value"] = np.concatenate(vals)
-    arrays["forest::offsets"] = np.asarray(offsets, dtype=np.int64)
-
-
-def _unpack_forest(data, meta) -> Forest:
-    offsets = data["forest::offsets"]
-    trees = []
-    for i in range(len(offsets) - 1):
-        lo, hi = offsets[i], offsets[i + 1]
-        trees.append(
-            RegressionTree(
-                data["forest::feature"][lo:hi],
-                data["forest::threshold"][lo:hi],
-                data["forest::left"][lo:hi],
-                data["forest::right"][lo:hi],
-                data["forest::value"][lo:hi],
-            )
-        )
-    cfg = ForestConfig(**meta["forest_config"])
-    return Forest(trees, meta["forest_n_features"], cfg)
 
 
 def save_checkpoint(
@@ -122,7 +90,7 @@ def save_checkpoint(
     if forest is not None:
         meta["forest_config"] = forest.config.__dict__
         meta["forest_n_features"] = forest.n_features
-        _pack_forest(forest, arrays)
+        arrays.update({f"forest::{k}": getattr(forest, k) for k in Forest.ARRAYS})
 
     np.savez_compressed(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
@@ -139,18 +107,45 @@ class CheckpointBundle:
         return self.meta.get("config", {})
 
 
+@contextmanager
+def _open(path):
+    """The checkpoint's members and checked header; a file that is not a
+    readable checkpoint raises InputError."""
+    try:
+        data = np.load(path)  # allow_pickle stays off
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise InputError(f"{path}: not a model checkpoint (not an npz archive)") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise InputError(f"{path}: not a model checkpoint (a bare .npy array)")
+    try:
+        with data:
+            yield data, _header(data, path)
+    except InputError:
+        raise
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise InputError(f"{path}: unreadable checkpoint ({exc})") from exc
+
+
+def _header(data, path) -> dict:
+    try:
+        meta = json.loads(bytes(data["meta"]).decode())
+    except (KeyError, ValueError) as exc:
+        raise InputError(f"{path}: not a model checkpoint (missing header)") from exc
+    if meta.get("magic") != FORMAT_MAGIC:
+        raise InputError(f"{path}: not a model checkpoint (bad magic)")
+    if meta.get("version") != FORMAT_VERSION:
+        raise InputError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+    return meta
+
+
+def read_meta(path) -> dict:
+    """The checkpoint's header alone, without building the model."""
+    with _open(path) as (_, meta):
+        return meta
+
+
 def load_checkpoint(path) -> CheckpointBundle:
-    with np.load(path) as data:
-        try:
-            meta = json.loads(bytes(data["meta"]).decode())
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"{path}: not a model checkpoint (missing header)") from exc
-        if meta.get("magic") != FORMAT_MAGIC:
-            raise InputError(f"{path}: not a model checkpoint (bad magic)")
-        if meta.get("version") != FORMAT_VERSION:
-            raise InputError(
-                f"{path}: unsupported checkpoint version {meta.get('version')}"
-            )
+    with _open(path) as (data, meta):
         net = CarleNet(
             meta["input_width"],
             meta["profile"],
@@ -163,7 +158,13 @@ def load_checkpoint(path) -> CheckpointBundle:
             name[len("nn::"):]: data[name] for name in data.files if name.startswith("nn::")
         }
         net.set_weights(weights)
-        forest = _unpack_forest(data, meta) if meta["has_forest"] else None
+        forest = None
+        if meta["has_forest"]:
+            forest = Forest(
+                **{name: data[f"forest::{name}"] for name in Forest.ARRAYS},
+                n_features=meta["forest_n_features"],
+                config=ForestConfig(**meta["forest_config"]),
+            )
         scaler = None
         if meta["has_scaler"]:
             scaler = Scaler(data["scaler::mean"], data["scaler::std"], meta["scaler_clip"])

@@ -230,7 +230,12 @@ def cmd_crossdomain(args) -> int:
 def cmd_snr_sweep(args) -> int:
     config = resolve_config(args)
     sig = dataio.read_signal_csv(args.signal, config.sample_rate_hz)
-    sigmas = [float(tok) for tok in args.sigmas.split(",")]
+    try:
+        sigmas = [float(tok) for tok in args.sigmas.split(",")]
+    except ValueError as exc:
+        raise ParameterError(
+            f"--sigmas expects comma-separated numbers, got {args.sigmas!r}"
+        ) from exc
     pairs = pipeline.snr_pairs(sig, sigmas, config)
     dataio.write_snr_csv(args.out, pairs, config.config_hash())
     for sigma, snr in pairs:

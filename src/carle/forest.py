@@ -7,6 +7,7 @@ forest prediction is the exact arithmetic mean of the tree predictions.
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,44 +25,25 @@ class ForestConfig:
     clamp_unit: bool = False  # clamp predictions into [0,1] for normalised labels
 
 
-@dataclass
-class RegressionTree:
-    """Flat-array CART tree: feature < 0 marks a leaf holding the target mean."""
+class _ForestBuilder:
+    """Grows trees one after another into shared node lists; a tree's child
+    indices count from its own first node."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X))
-        stack = [(0, np.arange(len(X)))]
-        while stack:
-            node, rows = stack.pop()
-            f = self.feature[node]
-            if f < 0:
-                out[rows] = self.value[node]
-                continue
-            go_left = X[rows, f] <= self.threshold[node]
-            if go_left.any():
-                stack.append((self.left[node], rows[go_left]))
-            if (~go_left).any():
-                stack.append((self.right[node], rows[~go_left]))
-        return out
-
-
-class _TreeBuilder:
-    def __init__(self, X, y, config: ForestConfig, rng):
+    def __init__(self, X, y, config: ForestConfig):
         self.X = X
         self.y = y
         self.config = config
-        self.rng = rng
         self.feature = []
         self.threshold = []
         self.left = []
         self.right = []
         self.value = []
+        self.offsets = [0]
+
+    def add_tree(self, idx, rng):
+        self.rng = rng
+        self.grow(idx, 0)
+        self.offsets.append(len(self.feature))
 
     def _new_node(self, mean):
         self.feature.append(-1)
@@ -69,7 +51,7 @@ class _TreeBuilder:
         self.left.append(-1)
         self.right.append(-1)
         self.value.append(mean)
-        return len(self.feature) - 1
+        return len(self.feature) - 1 - self.offsets[-1]
 
     def grow(self, idx, depth) -> int:
         y = self.y[idx]
@@ -105,27 +87,62 @@ class _TreeBuilder:
             return node
 
         go_left = self.X[idx, best_feat] <= best_thr
-        self.feature[node] = best_feat
-        self.threshold[node] = best_thr
-        self.left[node] = self.grow(idx[go_left], depth + 1)
-        self.right[node] = self.grow(idx[~go_left], depth + 1)
+        at = self.offsets[-1] + node
+        self.feature[at] = best_feat
+        self.threshold[at] = best_thr
+        self.left[at] = self.grow(idx[go_left], depth + 1)
+        self.right[at] = self.grow(idx[~go_left], depth + 1)
         return node
 
-    def finish(self) -> RegressionTree:
-        return RegressionTree(
+    def finish(self, n_features: int) -> "Forest":
+        return Forest(
             np.asarray(self.feature, dtype=np.int64),
             np.asarray(self.threshold, dtype=np.float64),
             np.asarray(self.left, dtype=np.int64),
             np.asarray(self.right, dtype=np.int64),
             np.asarray(self.value, dtype=np.float64),
+            np.asarray(self.offsets, dtype=np.int64),
+            n_features,
+            self.config,
         )
+
+
+# (tree, row) pairs walked at once by Forest.predict; larger inputs go in row blocks
+_PREDICT_BLOCK = 1 << 20
 
 
 @dataclass
 class Forest:
-    trees: list
+    """All trees in one set of flat node arrays, the layout checkpoints store.
+
+    Tree t owns nodes offsets[t]:offsets[t+1]; its left/right child indices
+    count from offsets[t]. feature < 0 marks a leaf holding the target mean.
+    """
+
+    # the node arrays, then offsets: each is one checkpoint member
+    ARRAYS: ClassVar[tuple] = ("feature", "threshold", "left", "right", "value", "offsets")
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    offsets: np.ndarray
     n_features: int
     config: ForestConfig = field(default_factory=ForestConfig)
+
+    @property
+    def trees(self) -> tuple:
+        """One-tree forests over slices of these arrays (views, not copies)."""
+        return tuple(
+            Forest(
+                *(getattr(self, name)[lo:hi] for name in self.ARRAYS[:-1]),
+                np.array([0, hi - lo]),
+                self.n_features,
+                self.config,
+            )
+            for lo, hi in zip(self.offsets[:-1], self.offsets[1:])
+        )
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -133,13 +150,34 @@ class Forest:
             raise InputError(
                 f"feature width mismatch: forest trained on {self.n_features}, got {X.shape[1]}"
             )
-        acc = np.zeros(len(X))
-        for tree in self.trees:
-            acc += tree.predict(X)
-        out = acc / len(self.trees)
+        if not np.isfinite(X).all():
+            raise InputError("non-finite forest input: NaN or inf in the logit rows")
+        n_trees = len(self.offsets) - 1
+        step = max(1, _PREDICT_BLOCK // n_trees)
+        out = np.empty(len(X))
+        for lo in range(0, len(X), step):
+            out[lo:lo + step] = self._tree_sum(X[lo:lo + step])
+        out /= n_trees
         if self.config.clamp_unit:
             out = np.clip(out, 0.0, 1.0)
         return out
+
+    def _tree_sum(self, X) -> np.ndarray:
+        """Each row's leaf values summed in tree order. Pair p = (tree p // n,
+        row p % n) descends one level per step, going left where X <= threshold."""
+        n = len(X)
+        base = np.repeat(self.offsets[:-1], n)
+        node = base.copy()
+        live = np.arange(len(node))
+        while live.size:
+            f = self.feature[node[live]]
+            inner = f >= 0
+            live, f = live[inner], f[inner]
+            at = node[live]
+            go_left = X[live % n, f] <= self.threshold[at]
+            node[live] = base[live] + np.where(go_left, self.left[at], self.right[at])
+        # cumsum adds strictly in order; sum() may pair terms and round differently
+        return np.cumsum(self.value[node].reshape(-1, n), axis=0)[-1]
 
 
 def fit(logits, targets, config: ForestConfig = None, seed: int = 0) -> Forest:
@@ -155,20 +193,13 @@ def fit(logits, targets, config: ForestConfig = None, seed: int = 0) -> Forest:
     if config.n_trees < 1:
         raise ParameterError(f"n_trees must be >= 1, got {config.n_trees}")
 
-    tree_seeds = np.random.SeedSequence(seed).spawn(config.n_trees)
-    trees = []
+    builder = _ForestBuilder(X, y, config)
     n = len(y)
-    for ts in tree_seeds:
+    for ts in np.random.SeedSequence(seed).spawn(config.n_trees):
         rng = np.random.default_rng(ts)
         if config.bootstrap:
             idx = rng.integers(0, n, size=n)
         else:
             idx = np.arange(n)
-        builder = _TreeBuilder(X, y, config, rng)
-        builder.grow(idx, 0)
-        trees.append(builder.finish())
-    return Forest(trees, X.shape[1], config)
-
-
-def predict(forest: Forest, logits) -> np.ndarray:
-    return forest.predict(logits)
+        builder.add_tree(idx, rng)
+    return builder.finish(X.shape[1])

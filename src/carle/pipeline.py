@@ -14,7 +14,7 @@ import numpy as np
 
 from . import adapt as adapt_mod
 from . import forest as forest_mod
-from .checkpoint import CheckpointBundle, Scaler, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointBundle, Scaler, load_checkpoint, read_meta, save_checkpoint
 from .errors import InputError, ParameterError
 from .features import ExtractionConfig, extract_features, feature_matrix
 from .labels import make_labels
@@ -405,6 +405,9 @@ class TrainedModel:
             raise InputError(
                 f"feature width mismatch: model expects {self.net.input_width}, got {X.shape[1]}"
             )
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise InputError(f"non-finite feature value (NaN or inf) in row {bad[0]}")
         if self.scaler is not None:
             X = self.scaler.transform(X)
         return build_sequences(X, self.net.profile.seq_len)
@@ -481,8 +484,7 @@ def load_model(path) -> TrainedModel:
 
 
 def config_from_checkpoint(path) -> ExperimentConfig:
-    bundle = load_checkpoint(path)
-    return ExperimentConfig.from_dict(bundle.meta.get("config", {}))
+    return ExperimentConfig.from_dict(read_meta(path).get("config", {}))
 
 
 # ---------------------------------------------------------------------------

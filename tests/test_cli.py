@@ -1,13 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carle
+from carle import pipeline
 from carle.checkpoint import load_checkpoint
 from carle.cli import main
-from carle.dataio import read_features_csv, read_labels_csv, read_signal_csv
+from carle.dataio import read_features_csv, read_labels_csv, read_signal_csv, write_features_csv
 
 
 def run_cli(*args):
@@ -106,6 +110,17 @@ class TestPredict:
         assert lines[0] == "window_index,y_true,y_pred"
         doc = json.loads(metrics.read_text())
         assert doc["eval"]["n"] == len(lines) - 1
+
+    def test_predict_loads_the_model_once(self, workspace, tmp_path, monkeypatch):
+        root, common = workspace
+        loads = []
+        real = pipeline.load_checkpoint
+        monkeypatch.setattr(pipeline, "load_checkpoint", lambda path: loads.append(path) or real(path))
+        assert run_cli(
+            "predict", "--checkpoint", str(root / "run" / "checkpoint.npz"),
+            "--features", str(root / "feats.csv"), "--out", str(tmp_path / "p.csv"), *common
+        ) == 0
+        assert len(loads) == 1
 
     def test_predict_missing_checkpoint_exits_2(self, workspace, tmp_path):
         root, common = workspace
@@ -221,6 +236,49 @@ class TestErrors:
         assert proc.returncode == 0
         for cmd in ("synth", "extract", "train", "predict", "ablate", "noise", "crossdomain", "snr-sweep"):
             assert cmd in proc.stdout
+
+
+def _garbage_checkpoint(root, tmp_path):
+    path = tmp_path / "garbage.npz"
+    path.write_bytes(b"this is not a checkpoint\n" * 40)
+    return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
+
+
+def _truncated_checkpoint(root, tmp_path):
+    path = tmp_path / "truncated.npz"
+    whole = (root / "run" / "checkpoint.npz").read_bytes()
+    path.write_bytes(whole[: len(whole) // 2])
+    return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
+
+
+def _nan_feature_row(root, tmp_path):
+    X, names, idx = read_features_csv(root / "feats.csv")
+    X[3, 2] = np.nan
+    path = tmp_path / "nan_feats.csv"
+    write_features_csv(path, X, names, idx)
+    return ["predict", "--checkpoint", str(root / "run" / "checkpoint.npz"), "--features", str(path)]
+
+
+def _bad_sigmas(root, tmp_path):
+    return ["snr-sweep", "--signal", str(root / "sig.csv"), "--sigmas", "1,abc"]
+
+
+@pytest.mark.parametrize(
+    "make_args", [_garbage_checkpoint, _truncated_checkpoint, _nan_feature_row, _bad_sigmas]
+)
+def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):
+    root, _ = workspace
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(carle.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "carle.cli", *make_args(root, tmp_path), "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert not out.exists()
 
 
 class TestConfigFilePrecedence:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from carle import forest
+from carle.checkpoint import load_checkpoint, save_checkpoint
 from carle.errors import InputError
-from carle.forest import Forest, ForestConfig, RegressionTree
+from carle.forest import Forest, ForestConfig
+from carle.nn.model import CarleNet
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle: exhaustive variance-minimisation split search, written
@@ -155,14 +157,71 @@ class TestForest:
         assert np.array_equal(model.predict(Xq), per_tree.mean(axis=0))
 
     def test_two_tree_averaging_contract(self):
-        leaf_a = RegressionTree(
-            np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([0.2])
+        # two one-leaf trees holding 0.2 and 0.4
+        model = Forest(
+            feature=np.array([-1, -1]),
+            threshold=np.array([0.0, 0.0]),
+            left=np.array([-1, -1]),
+            right=np.array([-1, -1]),
+            value=np.array([0.2, 0.4]),
+            offsets=np.array([0, 1, 2]),
+            n_features=3,
+            config=ForestConfig(),
         )
-        leaf_b = RegressionTree(
-            np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([0.4])
-        )
-        model = Forest([leaf_a, leaf_b], n_features=3, config=ForestConfig())
         assert model.predict(np.zeros((1, 3)))[0] == (0.2 + 0.4) / 2.0
+
+    def test_one_row_sums_trees_in_order(self, rng):
+        def leaf_value(tree, x):
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = x[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            return tree.value[node]
+
+        X = rng.normal(size=(50, 4))
+        y = rng.uniform(0, 1, 50)
+        model = forest.fit(X, y, ForestConfig(n_trees=64, min_samples_leaf=1), seed=6)
+        for _ in range(10):
+            xq = rng.normal(size=(1, 4))
+            acc = 0.0
+            for tree in model.trees:
+                acc += leaf_value(tree, xq[0])
+            assert model.predict(xq)[0] == acc / 64
+
+    def test_row_blocks_predict_alike(self, rng, monkeypatch):
+        X = rng.normal(size=(30, 3))
+        model = forest.fit(X, rng.uniform(0, 1, 30), ForestConfig(n_trees=5), seed=1)
+        Xq = rng.normal(size=(23, 3))
+        whole = model.predict(Xq)
+        monkeypatch.setattr(forest, "_PREDICT_BLOCK", 12)  # two rows a block
+        assert np.array_equal(model.predict(Xq), whole)
+
+    def test_non_finite_input_rejected(self, rng):
+        X = rng.normal(size=(20, 3))
+        model = forest.fit(X, rng.uniform(0, 1, 20), ForestConfig(n_trees=3), seed=0)
+        for bad in (np.nan, np.inf, -np.inf):
+            Xq = rng.normal(size=(4, 3))
+            Xq[2, 1] = bad
+            with pytest.raises(InputError):
+                model.predict(Xq)
+
+    def test_checkpoint_round_trip_shares_arrays(self, rng, tmp_path):
+        X = rng.normal(size=(40, 5))
+        y = rng.uniform(0, 1, 40)
+        model = forest.fit(X, y, ForestConfig(n_trees=12, clamp_unit=True), seed=8)
+        save_checkpoint(tmp_path / "ckpt.npz", CarleNet(3, "toy"), forest=model)
+        loaded = load_checkpoint(tmp_path / "ckpt.npz").forest
+        v1_dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64, np.int64)
+        for name, dtype in zip(Forest.ARRAYS, v1_dtypes):
+            back = getattr(loaded, name)
+            assert back.dtype == dtype and np.array_equal(back, getattr(model, name))
+        assert loaded.config == model.config and loaded.n_features == 5
+        assert len(loaded.trees) == 12
+        for tree in loaded.trees:
+            assert np.shares_memory(tree.feature, loaded.feature)
+            assert np.shares_memory(tree.value, loaded.value)
+        Xq = rng.normal(size=(9, 5))
+        assert np.array_equal(loaded.predict(Xq), model.predict(Xq))
 
     def test_row_permutation_equivariance(self, rng):
         X = rng.normal(size=(30, 3))
