@@ -1,8 +1,10 @@
-"""Benchmark the hot kernels: numba JIT path versus pure-numpy fallback.
+"""Benchmark the CART split scan: numba JIT path versus pure-numpy fallback.
 
 Run:  python benchmarks/bench_kernels.py
-The numba path is what `carle` uses by default; set CARLE_DISABLE_NUMBA=1
-to force the numpy path package-wide.
+The numba path is what `carle` uses when numba imports; set
+CARLE_DISABLE_NUMBA=1 to force the numpy path package-wide. The wavelet
+transform has a single FFT implementation, timed by
+`python3 perfbench/run.py --workload extract-long`.
 """
 
 import time
@@ -19,33 +21,6 @@ def time_call(fn, *args, repeat=5):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def bench_cwt():
-    rng = np.random.default_rng(0)
-    window = rng.normal(size=2048)
-    scales = np.geomspace(5.0, 300.0, 64)
-    phase = 2 * np.pi * 0.81
-    dt = 1.0 / 25_000.0
-
-    if _accel.backend() == "numba":
-        _accel.cwt_scalogram(window, scales, phase, dt)  # JIT warm-up
-        t_fast = time_call(_accel.cwt_scalogram, window, scales, phase, dt)
-    else:
-        t_fast = None
-    t_numpy = time_call(_accel._cwt_numpy, window, scales, phase, dt)
-
-    print("wavelet scalogram (64 scales x 2048 samples)")
-    print(f"  numpy fallback : {t_numpy * 1e3:9.2f} ms")
-    if t_fast is not None:
-        print(f"  numba kernel   : {t_fast * 1e3:9.2f} ms   ({t_numpy / t_fast:5.1f}x)")
-    else:
-        print("  numba kernel   : unavailable (CARLE_DISABLE_NUMBA set or import failed)")
-
-    if t_fast is not None:
-        a = _accel.cwt_scalogram(window, scales, phase, dt)
-        b = _accel._cwt_numpy(window, scales, phase, dt)
-        print(f"  max |diff|     : {np.max(np.abs(a - b)):.3e}")
 
 
 def bench_split_scan():
@@ -72,6 +47,4 @@ def bench_split_scan():
 
 if __name__ == "__main__":
     print(f"active backend: {_accel.backend()}\n")
-    bench_cwt()
-    print()
     bench_split_scan()

@@ -1,12 +1,15 @@
-"""Hot numeric kernels: numba fast path with a pure-numpy fallback.
+"""Hot numeric kernels: the wavelet scalogram, and the CART split scan with a
+numba fast path and a pure-numpy fallback.
 
-numba is optional: without it, or with ``CARLE_DISABLE_NUMBA=1``, the numpy
-path runs and ``backend()`` reports ``'numpy'``. Both paths compute the same
+The scalogram has one numpy implementation, an FFT convolution. numba is
+optional: without it, or with ``CARLE_DISABLE_NUMBA=1``, the numpy split scan
+runs and ``backend()`` reports ``'numpy'``. Both split scans compute the same
 sums; the tests check their agreement only where numba imports (elsewhere
 they compare numpy with numpy), and ``benchmarks/bench_kernels.py`` compares
 their speed.
 """
 
+import functools
 import math
 import os
 
@@ -25,7 +28,7 @@ if not _numba_disabled():
     # workqueue is always available; avoids the broken-TBB probe warning
     os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
     try:
-        from numba import njit, prange
+        from numba import njit
 
         _HAVE_NUMBA = True
     except ImportError:  # numba is optional; fall back to numpy
@@ -38,72 +41,46 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Wavelet scalogram kernel
+# Wavelet scalogram
 #
 # out[i, b] = (dt / sqrt(a_i)) * sum_t x[t] * conj(psi)((t - b) / a_i)
 # with psi(tau) = exp(1j * phase_coeff * tau) * exp(-tau^2 / 2), the signal
 # treated as zero outside the window, and the sum truncated where the
 # envelope falls below 1e-8.
+#
+# Computed as a circular convolution by FFT (Torrence & Compo, 1998): only
+# lags |t - b| <= n - 1 reach an output sample, so with nfft >= 2n - 1 the
+# circular sum has no wrap-around and equals the direct one.
 # ---------------------------------------------------------------------------
 
 
-def _cwt_numpy(x, scales, phase_coeff, dt):
-    n_samples = x.shape[0]
-    out = np.empty((scales.shape[0], n_samples), dtype=np.complex128)
-    for i in range(scales.shape[0]):
-        a = scales[i]
-        half = int(math.ceil(TRUNC_TAU * a))
-        tau = np.arange(-half, half + 1, dtype=np.float64) / a
-        kernel = np.exp(-0.5 * tau * tau) * np.exp(-1j * phase_coeff * tau)
-        full = np.convolve(x, kernel[::-1])
-        out[i] = full[half:half + n_samples] * (dt / math.sqrt(a))
-    return out
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True, fastmath=True)
-    def _cwt_numba(x, scales, phase_coeff, dt, out):  # pragma: no cover - compiled
-        n_samples = x.shape[0]
-        for i in prange(scales.shape[0]):
-            a = scales[i]
-            half = int(math.ceil(TRUNC_TAU * a))
-            inv_a = 1.0 / a
-            norm = dt / math.sqrt(a)
-            width = 2 * half + 1
-            taps_re = np.empty(width)
-            taps_im = np.empty(width)
-            for d in range(width):
-                tau = (d - half) * inv_a
-                env = math.exp(-0.5 * tau * tau)
-                ang = phase_coeff * tau
-                taps_re[d] = env * math.cos(ang)
-                taps_im[d] = -env * math.sin(ang)
-            for b in range(n_samples):
-                lo = b - half
-                if lo < 0:
-                    lo = 0
-                hi = b + half
-                if hi > n_samples - 1:
-                    hi = n_samples - 1
-                acc_re = 0.0
-                acc_im = 0.0
-                for t in range(lo, hi + 1):
-                    d = t - b + half
-                    acc_re += x[t] * taps_re[d]
-                    acc_im += x[t] * taps_im[d]
-                out[i, b] = complex(acc_re * norm, acc_im * norm)
+@functools.lru_cache(maxsize=8)
+def _wavelet_spectra(n_samples, scales_bytes, phase_coeff, dt):
+    """FFT of every scale's truncated, normalised taps, (n_scales, nfft), read-only."""
+    scales = np.frombuffer(scales_bytes, dtype=np.float64)
+    nfft = 1 << (2 * n_samples - 2).bit_length()
+    spectra = np.zeros((len(scales), nfft), dtype=np.complex128)
+    for row, a in zip(spectra, scales):
+        # lags past n - 1 reach no output sample
+        half = min(math.ceil(TRUNC_TAU * a), n_samples - 1)
+        lag = np.arange(-half, half + 1)
+        tau = lag / a
+        # slot j holds the tap at lag t - b = -j (mod nfft)
+        row[-lag] = np.exp(-0.5 * tau * tau) * np.exp(-1j * phase_coeff * tau) * (dt / math.sqrt(a))
+    np.fft.fft(spectra, axis=1, out=spectra)
+    spectra.flags.writeable = False
+    return spectra
 
 
 def cwt_scalogram(x, scales, phase_coeff, dt):
     """Complex wavelet coefficients of one window, shape (n_scales, len(x))."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     scales = np.ascontiguousarray(scales, dtype=np.float64)
-    if _HAVE_NUMBA:
-        out = np.empty((scales.shape[0], x.shape[0]), dtype=np.complex128)
-        _cwt_numba(x, scales, float(phase_coeff), float(dt), out)
-        return out
-    return _cwt_numpy(x, scales, float(phase_coeff), float(dt))
+    n = x.shape[0]
+    spectra = _wavelet_spectra(n, scales.tobytes(), float(phase_coeff), float(dt))
+    product = np.fft.fft(x, spectra.shape[1]) * spectra
+    # in place: a second (n_scales, nfft) buffer costs more than the transform
+    return np.fft.ifft(product, axis=1, out=product)[:, :n]
 
 
 # ---------------------------------------------------------------------------

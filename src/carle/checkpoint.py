@@ -164,7 +164,7 @@ def load_checkpoint(path) -> CheckpointBundle:
                 **{name: data[f"forest::{name}"] for name in Forest.ARRAYS},
                 n_features=meta["forest_n_features"],
                 config=ForestConfig(**meta["forest_config"]),
-            )
+            ).validate()
         scaler = None
         if meta["has_scaler"]:
             scaler = Scaler(data["scaler::mean"], data["scaler::std"], meta["scaler_clip"])

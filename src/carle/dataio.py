@@ -6,6 +6,7 @@ Readers skip ``#`` comment lines.
 """
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -21,6 +22,14 @@ def _data_lines(path):
             if line.startswith("#") or not line.strip():
                 continue
             yield line
+
+
+def _line(path, row: int) -> str:
+    """``path:line`` of data row ``row`` (0-based) as _data_lines counts rows,
+    for error messages."""
+    with open(path, newline="") as fh:
+        numbers = (k for k, line in enumerate(fh, 1) if not line.startswith("#") and line.strip())
+        return f"{path}:{next(itertools.islice(numbers, row, None))}"
 
 
 def read_signal_csv(path, sample_rate_hz: float) -> MultiChannelSignal:
@@ -39,11 +48,18 @@ def read_signal_csv(path, sample_rate_hz: float) -> MultiChannelSignal:
         try:
             vals = [float(tok) for tok in row]
         except ValueError as exc:
-            raise InputError(f"{path}: non-numeric value on line {i + 1}") from exc
+            raise InputError(f"{_line(path, i)}: non-numeric value") from exc
         data.append(vals[1:] if drop_first else vals)
-    arr = np.asarray(data, dtype=np.float64)
+    try:
+        arr = np.asarray(data, dtype=np.float64)
+    except ValueError as exc:
+        ragged = next(i for i, vals in enumerate(data) if len(vals) != len(data[0]))
+        raise InputError(f"{_line(path, start + ragged)}: column count differs from the first row") from exc
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise InputError(f"{path}: expected one column per channel")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise InputError(f"{_line(path, start + int(np.argmin(finite)))}: non-finite sample")
     return MultiChannelSignal(arr.T, sample_rate_hz)
 
 
@@ -90,9 +106,16 @@ def read_features_csv(path):
     names = tuple(header[1:])
     idx = []
     data = []
-    for row in rows[1:]:
-        idx.append(int(row[0]))
-        data.append([float(v) for v in row[1:]])
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise InputError(f"{_line(path, i)}: {len(row)} values, header has {len(header)}")
+        try:
+            idx.append(int(row[0]))
+            data.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise InputError(f"{_line(path, i)}: non-numeric value") from exc
+        if not np.isfinite(data[-1]).all():
+            raise InputError(f"{_line(path, i)}: non-finite feature value")
     return np.asarray(data, dtype=np.float64), names, np.asarray(idx, dtype=np.int64)
 
 
@@ -112,9 +135,12 @@ def read_labels_csv(path) -> np.ndarray:
     if lines[0] == "rul":
         lines = lines[1:]
     try:
-        return np.asarray([float(v) for v in lines], dtype=np.float64)
+        labels = np.asarray([float(v) for v in lines], dtype=np.float64)
     except ValueError as exc:
         raise InputError(f"{path}: labels must be numeric") from exc
+    if not np.isfinite(labels).all():
+        raise InputError(f"{path}: labels must be finite")
+    return labels
 
 
 def write_predictions_csv(path, window_index, y_true, y_pred, config_hash: str = ""):

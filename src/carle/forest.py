@@ -144,6 +144,32 @@ class Forest:
             for lo, hi in zip(self.offsets[:-1], self.offsets[1:])
         )
 
+    def validate(self) -> "Forest":
+        """Check arrays read from outside; raise InputError unless every inner
+        node splits on a known feature and both its children lie further on
+        in its own tree, so that predict reaches a leaf in every tree."""
+        arrays = [getattr(self, name) for name in self.ARRAYS]
+        if any(a.ndim != 1 for a in arrays) or len({len(a) for a in arrays[:-1]}) != 1:
+            raise InputError("forest node arrays are not 1-D arrays of equal length")
+        n = len(self.feature)
+        # signed, so that offsets and child indices cannot wrap
+        if any(a.dtype.kind != "i" for a in (self.feature, self.left, self.right, self.offsets)):
+            raise InputError("forest feature, child and offset arrays must hold signed integers")
+        if any(a.dtype.kind not in "iuf" for a in (self.threshold, self.value)):
+            raise InputError("forest thresholds and values must be numbers")
+        sizes = np.diff(self.offsets)
+        if len(self.offsets) < 2 or self.offsets[0] != 0 or self.offsets[-1] != n or (sizes <= 0).any():
+            raise InputError("forest offsets do not rise from 0 to the node count")
+        inner = self.feature >= 0
+        if not isinstance(self.n_features, int) or (self.feature[inner] >= self.n_features).any():
+            raise InputError(f"forest splits on a feature outside [0, {self.n_features})")
+        tree = np.repeat(np.arange(len(sizes)), sizes)[inner]
+        local = np.arange(n)[inner] - self.offsets[tree]
+        for child in (self.left[inner], self.right[inner]):
+            if ((child <= local) | (child >= sizes[tree])).any():
+                raise InputError("forest child index does not point forward inside its tree")
+        return self
+
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:

@@ -263,16 +263,58 @@ def _bad_sigmas(root, tmp_path):
     return ["snr-sweep", "--signal", str(root / "sig.csv"), "--sigmas", "1,abc"]
 
 
+def _cyclic_checkpoint(root, tmp_path):
+    # a two-node forest whose root is its own left child
+    path = tmp_path / "cyclic.npz"
+    with np.load(root / "run" / "checkpoint.npz") as data:
+        members = {name: data[name] for name in data.files}
+    members.update({
+        "forest::feature": np.array([0, -1]), "forest::threshold": np.zeros(2),
+        "forest::left": np.array([0, -1]), "forest::right": np.array([1, -1]),
+        "forest::value": np.array([0.5, 0.5]), "forest::offsets": np.array([0, 2]),
+    })
+    np.savez_compressed(path, **members)
+    return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
+
+
+def _feature_csv_with(root, tmp_path, token):
+    """The workspace feature CSV with the third value of data row 3 replaced."""
+    lines = (root / "feats.csv").read_text().splitlines()
+    row = [i for i, line in enumerate(lines) if line[0].isdigit()][3]
+    cells = lines[row].split(",")
+    cells[2] = token
+    lines[row] = ",".join(cells)
+    path = tmp_path / "bad_feats.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _nan_feature_row_train(root, tmp_path):
+    path = _feature_csv_with(root, tmp_path, "nan")
+    return ["train", "--features", str(path), "--labels", str(root / "labels.csv")]
+
+
+def _non_numeric_feature(root, tmp_path):
+    path = _feature_csv_with(root, tmp_path, "abc")
+    return ["predict", "--checkpoint", str(root / "run" / "checkpoint.npz"), "--features", str(path)]
+
+
 @pytest.mark.parametrize(
-    "make_args", [_garbage_checkpoint, _truncated_checkpoint, _nan_feature_row, _bad_sigmas]
+    "make_args",
+    [
+        _garbage_checkpoint, _truncated_checkpoint, _nan_feature_row, _bad_sigmas,
+        _cyclic_checkpoint, _nan_feature_row_train, _non_numeric_feature,
+    ],
 )
 def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):
     root, _ = workspace
     out = tmp_path / "out.csv"
+    args = make_args(root, tmp_path)
+    out_flag = "--out-dir" if args[0] == "train" else "--out"
     env = dict(os.environ, PYTHONPATH=str(Path(carle.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "carle.cli", *make_args(root, tmp_path), "--out", str(out)],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "carle.cli", *args, out_flag, str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -3,9 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from carle._accel import _cwt_numpy
+from carle import _accel
+from carle._accel import TRUNC_TAU
 from carle.cwt import build_scale_grid, morlet, phase_coefficient, transform
 from carle.errors import InputError, ParameterError
+
+
+def direct_scalogram(x, scales, phase_coeff, dt):
+    """Reference: the truncated wavelet sum, one direct convolution per scale."""
+    n_samples = x.shape[0]
+    out = np.empty((scales.shape[0], n_samples), dtype=np.complex128)
+    for i in range(scales.shape[0]):
+        a = scales[i]
+        half = int(math.ceil(TRUNC_TAU * a))
+        tau = np.arange(-half, half + 1, dtype=np.float64) / a
+        kernel = np.exp(-0.5 * tau * tau) * np.exp(-1j * phase_coeff * tau)
+        full = np.convolve(x, kernel[::-1])
+        out[i] = full[half:half + n_samples] * (dt / math.sqrt(a))
+    return out
 
 
 class TestScaleGrid:
@@ -137,14 +152,33 @@ class TestTransform:
         with pytest.raises(InputError):
             transform(np.zeros(3), self.grid(), self.fs)
 
-    def test_backend_agreement(self, rng):
-        # the dispatched kernel must match the numpy one; this compares
-        # numba with numpy only where numba imports, numpy with itself elsewhere
-        from carle import _accel
+    @pytest.mark.parametrize("n", [4, 5, 255, 256, 257, 512])
+    @pytest.mark.parametrize("two_pi_phase", [True, False])
+    def test_fft_matches_direct_sum(self, rng, n, two_pi_phase):
+        # half = ceil(TRUNC_TAU * a) runs from 2 (a = 0.3) to 1821 (a = 300),
+        # so it lies below and above n - 1 for every n here
+        scales = np.geomspace(0.3, 300.0, 12)
+        x = rng.normal(size=n)
+        k = phase_coefficient(0.81, two_pi_phase)
+        via_fft = _accel.cwt_scalogram(x, scales, k, 1.0 / self.fs)
+        direct = direct_scalogram(x, scales, k, 1.0 / self.fs)
+        assert np.allclose(via_fft, direct, rtol=1e-10, atol=1e-12)
 
-        grid = self.grid(12)
-        x = rng.normal(size=256)
-        k = phase_coefficient(grid.center_freq, True)
-        via_dispatch = _accel.cwt_scalogram(x, grid.scales, k, 1.0 / self.fs)
-        via_numpy = _cwt_numpy(x, grid.scales, k, 1.0 / self.fs)
-        assert np.allclose(via_dispatch, via_numpy, rtol=1e-10, atol=1e-12)
+    def test_memoised_spectra_match_fresh(self, rng):
+        # interleaved grids and window lengths must each get their own spectra
+        grids = (self.grid(12), build_scale_grid(250.0, self.fs, 16))
+        k = phase_coefficient(0.81, True)
+        dt = 1.0 / self.fs
+        cases = [(grid, rng.normal(size=n)) for n in (256, 300) for grid in grids]
+        fresh = []
+        for grid, x in cases:
+            _accel._wavelet_spectra.cache_clear()
+            fresh.append(_accel.cwt_scalogram(x, grid.scales, k, dt))
+        for _ in range(2):
+            for (grid, x), want in zip(cases, fresh):
+                assert np.array_equal(_accel.cwt_scalogram(x, grid.scales, k, dt), want)
+        assert _accel._wavelet_spectra.cache_info().currsize == len(cases)
+        for grid, x in cases:
+            spectra = _accel._wavelet_spectra(len(x), grid.scales.tobytes(), k, dt)
+            with pytest.raises(ValueError):
+                spectra[0, 0] = 0.0

@@ -36,6 +36,19 @@ class TestSignalCsv:
         with pytest.raises(InputError):
             dataio.read_signal_csv(path, 100.0)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected_with_its_line(self, tmp_path, bad):
+        path = tmp_path / "sig.csv"
+        path.write_text(f"# config_hash=h\nt,ch1,ch2\n0.0,1.0,2.0\n0.001,3.0,{bad}\n")
+        with pytest.raises(InputError, match=r"sig.csv:4: non-finite"):
+            dataio.read_signal_csv(path, 100.0)
+
+    def test_ragged_rows_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("1.0,2.0\n3.0\n5.0,6.0\n")
+        with pytest.raises(InputError, match=r"sig.csv:2: column count"):
+            dataio.read_signal_csv(path, 100.0)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -61,6 +74,24 @@ class TestFeatureCsv:
             dataio.read_features_csv(path)
 
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("1,0.5,abc", "non-numeric"),
+            ("x,0.5,0.7", "non-numeric"),
+            ("1,0.5", "2 values, header has 3"),
+            ("1,0.5,0.7,0.9", "4 values, header has 3"),
+            ("1,nan,0.7", "non-finite"),
+            ("1,0.5,inf", "non-finite"),
+        ],
+    )
+    def test_bad_row_rejected_with_its_line(self, tmp_path, row, reason):
+        path = tmp_path / "f.csv"
+        path.write_text(f"# config_hash=h\nwindow_index,a,b\n0,0.1,0.2\n{row}\n")
+        with pytest.raises(InputError, match=rf"f.csv:4: {reason}"):
+            dataio.read_features_csv(path)
+
+
 class TestLabelCsv:
     def test_round_trip(self, tmp_path):
         vals = np.array([1.0, 0.5, 0.0])
@@ -72,6 +103,12 @@ class TestLabelCsv:
         path = tmp_path / "l.csv"
         path.write_text("rul\nhigh\n")
         with pytest.raises(InputError):
+            dataio.read_labels_csv(path)
+
+    def test_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("rul\n0.5\nnan\n")
+        with pytest.raises(InputError, match="finite"):
             dataio.read_labels_csv(path)
 
 

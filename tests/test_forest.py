@@ -223,6 +223,47 @@ class TestForest:
         Xq = rng.normal(size=(9, 5))
         assert np.array_equal(loaded.predict(Xq), model.predict(Xq))
 
+    @staticmethod
+    def two_trees():
+        """Two trees of a root and two leaves each, in checkpoint layout."""
+        return Forest(
+            np.array([0, -1, -1, 1, -1, -1]), np.zeros(6), np.array([1, -1, -1, 1, -1, -1]),
+            np.array([2, -1, -1, 2, -1, -1]), np.linspace(0, 1, 6), np.array([0, 3, 6]), 2,
+        )
+
+    @pytest.mark.parametrize(
+        "name, index, bad",
+        [
+            ("left", 0, 0),  # a node that is its own child: a cycle
+            ("right", 0, 3),  # past the end of the first tree
+            ("feature", 0, 2),  # no such feature
+            ("offsets", 1, 7),  # not rising
+            ("offsets", 2, 4),  # not ending at the node count
+        ],
+    )
+    def test_checkpoint_with_bad_layout_rejected(self, tmp_path, name, index, bad):
+        model = self.two_trees()
+        assert model.validate() is model
+        getattr(model, name)[index] = bad
+        save_checkpoint(tmp_path / "ckpt.npz", CarleNet(3, "toy"), forest=model)
+        with pytest.raises(InputError, match="forest"):
+            load_checkpoint(tmp_path / "ckpt.npz")
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("value", np.zeros(5)),  # ragged node arrays
+            ("offsets", np.array([0, 7, 6], dtype=np.uint64)),  # falls, but wraps in np.diff
+            ("left", np.array([1.0, -1, -1, 1, -1, -1])),  # float child indices
+        ],
+    )
+    def test_checkpoint_with_bad_array_rejected(self, tmp_path, name, bad):
+        model = self.two_trees()
+        setattr(model, name, bad)
+        save_checkpoint(tmp_path / "ckpt.npz", CarleNet(3, "toy"), forest=model)
+        with pytest.raises(InputError, match="forest"):
+            load_checkpoint(tmp_path / "ckpt.npz")
+
     def test_row_permutation_equivariance(self, rng):
         X = rng.normal(size=(30, 3))
         y = rng.uniform(0, 1, 30)
