@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from . import schema
+from .errors import InputError, ParameterError
 from .forest import Forest, ForestConfig
 from .nn.model import CarleNet
 
@@ -160,10 +161,15 @@ def load_checkpoint(path) -> CheckpointBundle:
         net.set_weights(weights)
         forest = None
         if meta["has_forest"]:
+            try:
+                config = schema.read(ForestConfig, meta["forest_config"], prefix="forest_config.")
+                config.validate()
+            except ParameterError as exc:
+                raise InputError(f"{path}: {exc}") from exc
             forest = Forest(
                 **{name: data[f"forest::{name}"] for name in Forest.ARRAYS},
                 n_features=meta["forest_n_features"],
-                config=ForestConfig(**meta["forest_config"]),
+                config=config,
             ).validate()
         scaler = None
         if meta["has_scaler"]:

@@ -27,36 +27,19 @@ def _parse_set(values):
     return overrides
 
 
-def _deep_merge(base: dict, extra: dict) -> dict:
-    out = dict(base)
-    for key, val in extra.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = val
-    return out
-
-
 def resolve_config(args, checkpoint_path=None) -> ExperimentConfig:
     """Precedence: flags > --set overrides > config file > checkpoint > defaults."""
-    base = ExperimentConfig().to_dict()
+    config = ExperimentConfig()
     if checkpoint_path is not None:
-        base = _deep_merge(base, pipeline.config_from_checkpoint(checkpoint_path).to_dict())
+        config = pipeline.config_from_checkpoint(checkpoint_path)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                base = _deep_merge(base, json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{args.config}: invalid JSON config: {exc}") from exc
-    config = ExperimentConfig.from_dict(base)
+        config = ExperimentConfig.from_file(args.config, base=config)
     overrides = _parse_set(getattr(args, "set", None))
     if getattr(args, "profile", None):
         overrides["model.profile"] = args.profile
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        config = config.with_overrides(overrides)
-    return config.validate()
+    return config.with_overrides(overrides)
 
 
 def _add_common(parser):

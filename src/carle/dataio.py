@@ -34,15 +34,18 @@ def _line(path, row: int) -> str:
 
 def read_signal_csv(path, sample_rate_hz: float) -> MultiChannelSignal:
     """Load a raw-signal CSV: header row ``t,ch1,ch2,...`` or headerless
-    numeric columns, one row per sample. A leading ``t`` column is ignored;
-    the sample rate always comes from configuration."""
+    numeric columns, one row per sample. A first row is a header only when
+    none of its tokens is a number. A leading ``t`` column is ignored; the
+    sample rate always comes from configuration."""
     rows = list(csv.reader(_data_lines(path)))
     if not rows:
         raise InputError(f"{path}: empty signal file")
     header = rows[0]
-    has_header = any(not _is_number(tok) for tok in header)
-    start = 1 if has_header else 0
-    drop_first = has_header and header[0].strip().lower() in {"t", "time", "time_s"}
+    numeric = [_is_number(tok) for tok in header]
+    if any(numeric) and not all(numeric):
+        raise InputError(f"{_line(path, 0)}: first row mixes numbers and names")
+    start = 0 if all(numeric) else 1
+    drop_first = start == 1 and header[0].strip().lower() in {"t", "time", "time_s"}
     data = []
     for i, row in enumerate(rows[start:], start=start):
         try:

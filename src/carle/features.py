@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cwt import DEFAULT_CENTER_FREQ, Scalogram, build_scale_grid, transform
-from .errors import DegenerateWindowError, InputError
+from .errors import DegenerateWindowError, InputError, ParameterError
 from .signal import MultiChannelSignal, extract_windows, gaussian_filter
 
 log = logging.getLogger(__name__)
@@ -152,20 +152,30 @@ class ExtractionConfig:
     n_scales: int = 64
     center_freq: float = DEFAULT_CENTER_FREQ
     two_pi_phase: bool = True
-    strict: bool = False
+
+    def validate(self):
+        if self.sigma_g <= 0:
+            raise ParameterError(f"extraction.sigma_g must be positive, got {self.sigma_g}")
+        if self.window_len < 4:
+            raise ParameterError(f"extraction.window_len must be >= 4, got {self.window_len}")
+        if self.stride is not None and self.stride < 1:
+            raise ParameterError(f"extraction.stride must be >= 1, got {self.stride}")
+        if self.f_o <= 0:
+            raise ParameterError(f"extraction.f_o must be positive, got {self.f_o}")
+        if self.n_scales < 2:
+            raise ParameterError(f"extraction.n_scales must be >= 2, got {self.n_scales}")
+        if self.center_freq <= 0:
+            raise ParameterError(f"extraction.center_freq must be positive, got {self.center_freq}")
 
 
-def extract_features(signal: MultiChannelSignal, config: ExtractionConfig = None, **overrides):
+def extract_features(signal: MultiChannelSignal, config: ExtractionConfig = None):
     """Smooth, window, transform, and featurise a multichannel signal.
 
-    Returns a list of FeatureVector, one per non-degenerate window. With
-    ``strict=False`` (default) degenerate windows are skipped with a logged
-    warning; with ``strict=True`` they raise with the window index attached.
+    Returns a list of FeatureVector, one per non-degenerate window;
+    degenerate windows are skipped with a logged warning.
     """
     if config is None:
         config = ExtractionConfig()
-    if overrides:
-        config = ExtractionConfig(**{**config.__dict__, **overrides})
 
     grid = build_scale_grid(
         config.f_o, signal.sample_rate_hz, config.n_scales, config.center_freq
@@ -184,8 +194,6 @@ def extract_features(signal: MultiChannelSignal, config: ExtractionConfig = None
                 for c in range(signal.channel_count)
             ]
         except DegenerateWindowError as exc:
-            if config.strict:
-                raise DegenerateWindowError(f"window {w_idx}: {exc}") from exc
             log.warning("skipping degenerate window %d: %s", w_idx, exc)
             continue
         vectors.append(FeatureVector(np.concatenate(per_channel), w_idx, names))

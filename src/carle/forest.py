@@ -17,12 +17,18 @@ from .errors import InputError, ParameterError
 
 @dataclass
 class ForestConfig:
-    n_trees: int = 800
+    n_trees: int | None = None  # None -> the model profile's count, set before fit
     max_features: int | None = None  # None -> floor(sqrt(n_features))
     min_samples_leaf: int = 2
     max_depth: int | None = None
     bootstrap: bool = True
-    clamp_unit: bool = False  # clamp predictions into [0,1] for normalised labels
+    clamp_unit: bool = True  # clamp predictions into [0,1] for normalised labels
+
+    def validate(self):
+        if self.n_trees is not None and self.n_trees < 1:
+            raise ParameterError(f"forest.n_trees must be >= 1, got {self.n_trees}")
+        if self.min_samples_leaf < 1:
+            raise ParameterError(f"forest.min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
 
 
 class _ForestBuilder:
@@ -206,18 +212,17 @@ class Forest:
         return np.cumsum(self.value[node].reshape(-1, n), axis=0)[-1]
 
 
-def fit(logits, targets, config: ForestConfig = None, seed: int = 0) -> Forest:
+def fit(logits, targets, config: ForestConfig, seed: int = 0) -> Forest:
     """Train a forest on (logit matrix, target sequence), deterministically per seed."""
-    if config is None:
-        config = ForestConfig()
     X = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     y = np.asarray(targets, dtype=np.float64).ravel()
     if len(X) != len(y):
         raise InputError(f"row mismatch: {len(X)} logit rows vs {len(y)} targets")
     if len(y) < 2:
         raise InputError(f"need at least 2 samples to fit a forest, got {len(y)}")
-    if config.n_trees < 1:
-        raise ParameterError(f"n_trees must be >= 1, got {config.n_trees}")
+    if config.n_trees is None:
+        raise ParameterError("forest.n_trees is unset; the pipeline sets it from the model profile")
+    config.validate()
 
     builder = _ForestBuilder(X, y, config)
     n = len(y)

@@ -1,4 +1,4 @@
-from .layers import Conv1d, Dense, Flatten, Lstm, MaxPool1, MultiHeadAttention
+from .layers import Conv1d, Dense, Flatten, Lstm, MultiHeadAttention
 from .model import PROFILES, CarleNet, ModelProfile, ResCnnUnit, get_profile
 from .train import RmsProp, TrainConfig, TrainReport, train
 
@@ -7,7 +7,6 @@ __all__ = [
     "Dense",
     "Flatten",
     "Lstm",
-    "MaxPool1",
     "MultiHeadAttention",
     "PROFILES",
     "CarleNet",

@@ -135,21 +135,6 @@ class Conv1d(Layer):
         self._xp = None
 
 
-class MaxPool1(Layer):
-    """Pooling with window 1: literally the identity, kept for fidelity."""
-
-    def __init__(self, size=1):
-        super().__init__()
-        if size != 1:
-            raise ParameterError(f"only pooling size 1 is supported, got {size}")
-
-    def forward(self, x):
-        return x
-
-    def backward(self, dout):
-        return dout
-
-
 class Lstm(Layer):
     """Single LSTM layer returning the full hidden sequence.
 

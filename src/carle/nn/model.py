@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError, ParameterError
-from .layers import Conv1d, Dense, Flatten, Lstm, MaxPool1, MultiHeadAttention
+from .layers import Conv1d, Dense, Flatten, Lstm, MultiHeadAttention
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,11 @@ class ResCnnUnit:
 
     y = relu(conv_chain(x) + skip(x)); the skip is the identity when channel
     widths match and a bias-free 1x1 convolution otherwise. Intermediate
-    convolutions are followed by ReLU; the unit-width max-pool after each
-    convolution is an identity kept for structural fidelity.
+    convolutions are followed by ReLU.
     """
 
     def __init__(self, c_in, filters, kernels, l2, use_residual, rng, name):
         self.use_residual = use_residual
-        self.pool = MaxPool1(1)
         self.convs = []
         ch = c_in
         for j, (f, k) in enumerate(zip(filters, kernels)):
@@ -109,7 +107,7 @@ class ResCnnUnit:
         self._relu_masks = []
         h = x
         for idx, conv in enumerate(self.convs):
-            h = self.pool.forward(conv.forward(h))
+            h = conv.forward(h)
             if idx < len(self.convs) - 1:
                 mask = h > 0
                 self._relu_masks.append(mask)
@@ -127,7 +125,7 @@ class ResCnnUnit:
             dskip = self.proj.backward(dh) if self.proj is not None else dh
         d = dh
         for idx in range(len(self.convs) - 1, -1, -1):
-            d = self.convs[idx].backward(self.pool.backward(d))
+            d = self.convs[idx].backward(d)
             if idx > 0:
                 d = d * self._relu_masks[idx - 1]
         if dskip is not None:

@@ -7,24 +7,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InputError, NumericalError
+from ..errors import InputError, NumericalError, ParameterError
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 32
-    learning_rate: float = 1e-3
+    batch_size: int = 16
+    learning_rate: float = 2e-3
     decay: float = 0.9
     epsilon: float = 1e-8
-    epochs: int = 200
+    epochs: int = 300
     early_stop_patience: int = 25
     plateau_patience: int = 10
     plateau_factor: float = 0.5
     val_fraction: float = 0.0
-    shuffle: bool = True
-    seed: int = 0
+
+    def validate(self):
+        if self.batch_size < 1:
+            raise ParameterError(f"training.batch_size must be >= 1, got {self.batch_size}")
+        if self.learning_rate <= 0:
+            raise ParameterError(f"training.learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 <= self.decay < 1.0:
+            raise ParameterError(f"training.decay must be in [0,1), got {self.decay}")
+        if self.epsilon <= 0:
+            raise ParameterError(f"training.epsilon must be positive, got {self.epsilon}")
+        if self.epochs < 1:
+            raise ParameterError(f"training.epochs must be >= 1, got {self.epochs}")
+        if self.early_stop_patience < 0 or self.plateau_patience < 0:
+            raise ParameterError("training patience values must be >= 0")
+        if not 0.0 < self.plateau_factor <= 1.0:
+            raise ParameterError(f"training.plateau_factor must be in (0,1], got {self.plateau_factor}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ParameterError(f"training.val_fraction must be in [0,1), got {self.val_fraction}")
 
 
 class RmsProp:
@@ -66,13 +82,14 @@ def _epoch_metrics(net, X, y):
     return float(np.sqrt(np.mean(resid**2))), float(np.mean(np.abs(resid)))
 
 
-def train(net, X, y, config: TrainConfig = None) -> TrainReport:
+def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
     """Fit the scalar head of ``net`` to targets ``y`` over sequences ``X``.
 
     Tracks RMSE (the per-epoch loss l_e) and MAE on the validation split
     when one is configured, otherwise on the training data. The weights at
     the minimal tracked loss are restored into the net before returning. A
     non-finite loss aborts training, keeping the last good checkpoint.
+    ``seed`` fixes the validation split and the per-epoch shuffles.
     """
     if config is None:
         config = TrainConfig()
@@ -83,7 +100,7 @@ def train(net, X, y, config: TrainConfig = None) -> TrainReport:
     if len(X) != len(y):
         raise InputError(f"feature/label mismatch: {len(X)} vs {len(y)}")
 
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = len(X)
     n_val = int(round(config.val_fraction * n))
     if n_val > 0:
@@ -106,7 +123,7 @@ def train(net, X, y, config: TrainConfig = None) -> TrainReport:
     k = max(1, config.batch_size)
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(X_train)) if config.shuffle else np.arange(len(X_train))
+        order = rng.permutation(len(X_train))
         aborted = False
         for start in range(0, len(order), k):
             batch = order[start:start + k]

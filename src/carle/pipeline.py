@@ -14,6 +14,7 @@ import numpy as np
 
 from . import adapt as adapt_mod
 from . import forest as forest_mod
+from . import schema
 from .checkpoint import CheckpointBundle, Scaler, load_checkpoint, read_meta, save_checkpoint
 from .errors import InputError, ParameterError
 from .features import ExtractionConfig, extract_features, feature_matrix
@@ -38,33 +39,11 @@ def derive_seed(root_seed: int, stream: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Configuration sections
+# Configuration sections no other module owns. The extraction, training and
+# forest sections are features.ExtractionConfig, nn.train.TrainConfig and
+# forest.ForestConfig; synth_config() resolves the synth section into a
+# signal.SynthConfig.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExtractionSection:
-    sigma_g: float = 1.0
-    window_len: int = 256
-    stride: int | None = None
-    f_o: float = 35.0
-    n_scales: int = 64
-    center_freq: float = 0.81
-    two_pi_phase: bool = True
-
-    def validate(self):
-        if self.sigma_g <= 0:
-            raise ParameterError(f"extraction.sigma_g must be positive, got {self.sigma_g}")
-        if self.window_len < 4:
-            raise ParameterError(f"extraction.window_len must be >= 4, got {self.window_len}")
-        if self.stride is not None and self.stride < 1:
-            raise ParameterError(f"extraction.stride must be >= 1, got {self.stride}")
-        if self.f_o <= 0:
-            raise ParameterError(f"extraction.f_o must be positive, got {self.f_o}")
-        if self.n_scales < 2:
-            raise ParameterError(f"extraction.n_scales must be >= 2, got {self.n_scales}")
-        if self.center_freq <= 0:
-            raise ParameterError(f"extraction.center_freq must be positive, got {self.center_freq}")
 
 
 @dataclass
@@ -95,53 +74,6 @@ class ModelSection:
             raise ParameterError(f"model.seq_len must be >= 1, got {self.seq_len}")
         if self.z_clip <= 0:
             raise ParameterError(f"model.z_clip must be positive, got {self.z_clip}")
-
-
-@dataclass
-class TrainingSection:
-    batch_size: int = 16
-    learning_rate: float = 2e-3
-    decay: float = 0.9
-    epsilon: float = 1e-8
-    epochs: int = 300
-    early_stop_patience: int = 25
-    plateau_patience: int = 10
-    plateau_factor: float = 0.5
-    val_fraction: float = 0.0
-
-    def validate(self):
-        if self.batch_size < 1:
-            raise ParameterError(f"training.batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ParameterError(f"training.learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.decay < 1.0:
-            raise ParameterError(f"training.decay must be in [0,1), got {self.decay}")
-        if self.epsilon <= 0:
-            raise ParameterError(f"training.epsilon must be positive, got {self.epsilon}")
-        if self.epochs < 1:
-            raise ParameterError(f"training.epochs must be >= 1, got {self.epochs}")
-        if self.early_stop_patience < 0 or self.plateau_patience < 0:
-            raise ParameterError("training patience values must be >= 0")
-        if not 0.0 < self.plateau_factor <= 1.0:
-            raise ParameterError(f"training.plateau_factor must be in (0,1], got {self.plateau_factor}")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ParameterError(f"training.val_fraction must be in [0,1), got {self.val_fraction}")
-
-
-@dataclass
-class ForestSection:
-    n_trees: int | None = None  # None -> profile default
-    max_features: int | None = None
-    min_samples_leaf: int = 2
-    max_depth: int | None = None
-    bootstrap: bool = True
-    clamp_unit: bool = True
-
-    def validate(self):
-        if self.n_trees is not None and self.n_trees < 1:
-            raise ParameterError(f"forest.n_trees must be >= 1, got {self.n_trees}")
-        if self.min_samples_leaf < 1:
-            raise ParameterError(f"forest.min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
 
 
 @dataclass
@@ -207,78 +139,49 @@ class ExperimentConfig:
     seed: int = 0
     sample_rate_hz: float = 1024.0
     snr_cap_db: float = 120.0
-    extraction: ExtractionSection = field(default_factory=ExtractionSection)
+    extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     labels: LabelSection = field(default_factory=LabelSection)
     model: ModelSection = field(default_factory=ModelSection)
-    training: TrainingSection = field(default_factory=TrainingSection)
-    forest: ForestSection = field(default_factory=ForestSection)
+    training: TrainConfig = field(default_factory=TrainConfig)
+    forest: forest_mod.ForestConfig = field(default_factory=forest_mod.ForestConfig)
     noise: NoiseSection = field(default_factory=NoiseSection)
     synth: SynthSection = field(default_factory=SynthSection)
     adapt: AdaptSection = field(default_factory=AdaptSection)
 
-    _SECTIONS = {
-        "extraction": ExtractionSection,
-        "labels": LabelSection,
-        "model": ModelSection,
-        "training": TrainingSection,
-        "forest": ForestSection,
-        "noise": NoiseSection,
-        "synth": SynthSection,
-        "adapt": AdaptSection,
-    }
-
     def validate(self) -> "ExperimentConfig":
         if self.sample_rate_hz <= 0:
             raise ParameterError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        for name in self._SECTIONS:
-            getattr(self, name).validate()
+        for f in dataclasses.fields(self):
+            if dataclasses.is_dataclass(f.type):
+                getattr(self, f.name).validate()
         return self
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        kwargs = {}
-        for name, section_cls in cls._SECTIONS.items():
-            sub = doc.pop(name, {})
-            if not isinstance(sub, dict):
-                raise ParameterError(f"config section {name!r} must be an object")
-            known = {f.name for f in dataclasses.fields(section_cls)}
-            unknown = set(sub) - known
-            if unknown:
-                raise ParameterError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-            kwargs[name] = section_cls(**sub)
-        known_top = {f.name for f in dataclasses.fields(cls)} - set(cls._SECTIONS)
-        unknown = set(doc) - known_top
-        if unknown:
-            raise ParameterError(f"unknown top-level config keys: {sorted(unknown)}")
-        return cls(**doc, **kwargs).validate()
+    def from_dict(cls, doc: dict, base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
+        """A config from a nested JSON object; keys it leaves out keep their
+        value in ``base`` (default: the defaults)."""
+        return schema.read(cls, doc, base).validate()
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
         with open(path) as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: invalid JSON config: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(doc, base)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
-        """Apply dotted-key overrides like {'training.epochs': 50}."""
-        doc = self.to_dict()
+        """Apply dotted-key overrides like {'training.epochs': 50}, in order."""
+        config = self
         for key, value in overrides.items():
-            parts = key.split(".")
-            node = doc
-            for part in parts[:-1]:
-                if part not in node or not isinstance(node[part], dict):
-                    raise ParameterError(f"unknown config key {key!r}")
-                node = node[part]
-            if parts[-1] not in node:
-                raise ParameterError(f"unknown config key {key!r}")
-            node[parts[-1]] = value
-        return type(self).from_dict(doc)
+            for part in reversed(key.split(".")):
+                value = {part: value}
+            config = schema.read(type(self), value, config)
+        return config.validate()
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -293,60 +196,14 @@ class ExperimentConfig:
         return prof
 
     def extraction_config(self) -> ExtractionConfig:
-        e = self.extraction
-        return ExtractionConfig(
-            sigma_g=e.sigma_g,
-            window_len=e.window_len,
-            stride=e.stride,
-            f_o=e.f_o,
-            n_scales=e.n_scales,
-            center_freq=e.center_freq,
-            two_pi_phase=e.two_pi_phase,
-        )
-
-    def forest_config(self) -> forest_mod.ForestConfig:
-        f = self.forest
-        return forest_mod.ForestConfig(
-            n_trees=f.n_trees if f.n_trees is not None else self.profile().n_trees,
-            max_features=f.max_features,
-            min_samples_leaf=f.min_samples_leaf,
-            max_depth=f.max_depth,
-            bootstrap=f.bootstrap,
-            clamp_unit=f.clamp_unit,
-        )
-
-    def train_config(self) -> TrainConfig:
-        t = self.training
-        return TrainConfig(
-            batch_size=t.batch_size,
-            learning_rate=t.learning_rate,
-            decay=t.decay,
-            epsilon=t.epsilon,
-            epochs=t.epochs,
-            early_stop_patience=t.early_stop_patience,
-            plateau_patience=t.plateau_patience,
-            plateau_factor=t.plateau_factor,
-            val_fraction=t.val_fraction,
-            seed=derive_seed(self.seed, "train"),
-        )
+        return self.extraction
 
     def synth_config(self, rotation_hz: float | None = None) -> SynthConfig:
         s = self.synth
-        f_o = rotation_hz if rotation_hz is not None else (
-            s.rotation_hz if s.rotation_hz is not None else self.extraction.f_o
-        )
-        return SynthConfig(
-            rotation_hz=f_o,
-            sample_rate_hz=self.sample_rate_hz,
-            duration_s=s.duration_s,
-            channel_count=s.channel_count,
-            onset_fraction=s.onset_fraction,
-            growth_rate=s.growth_rate,
-            noise_std=s.noise_std,
-            burst_amp=s.burst_amp,
-            burst_rate_hz=s.burst_rate_hz,
-            burst_decay_s=s.burst_decay_s,
-        )
+        if rotation_hz is None:
+            rotation_hz = s.rotation_hz if s.rotation_hz is not None else self.extraction.f_o
+        fields = {**dataclasses.asdict(s), "rotation_hz": rotation_hz}
+        return SynthConfig(**fields, sample_rate_hz=self.sample_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +300,16 @@ def train_model(X, y, config: ExperimentConfig, variant: str = "carle") -> Train
         cross_block_residual=config.model.cross_block_residual,
         seed=derive_seed(config.seed, "init"),
     )
-    report = train(net, seqs, y, config.train_config())
+    report = train(net, seqs, y, config.training, seed=derive_seed(config.seed, "train"))
 
     trained_forest = None
     if variant != "carl":
         logits = net.logits(seqs)
+        forest_config = config.forest
+        if forest_config.n_trees is None:
+            forest_config = dataclasses.replace(forest_config, n_trees=profile.n_trees)
         trained_forest = forest_mod.fit(
-            logits, y, config.forest_config(), seed=derive_seed(config.seed, "bootstrap")
+            logits, y, forest_config, seed=derive_seed(config.seed, "bootstrap")
         )
     return TrainedModel(net, trained_forest, scaler, report, variant)
 

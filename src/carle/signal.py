@@ -177,6 +177,17 @@ def inject_noise(signal: MultiChannelSignal, kind: str, params: dict, seed: int)
     return MultiChannelSignal(out, signal.sample_rate_hz)
 
 
+# rotation tone and its two harmonics
+HARMONIC_AMPS = (1.0, 0.5, 0.25)
+# relative rise of the tone amplitude and of the noise floor at full
+# severity, per unit growth_rate
+TONE_GROWTH = 0.5
+NOISE_GROWTH = 3.0
+# burst rings sit at this multiple of the rotation frequency, inside the
+# analysed band
+RESONANCE_RATIO = 2.5
+
+
 @dataclass
 class SynthConfig:
     """Degradation profile for the synthetic run-to-failure generator.
@@ -185,8 +196,8 @@ class SynthConfig:
     noise. After onset_fraction of the record the fault develops along a
     linear severity ramp scaled by growth_rate: the broadband noise floor
     rises (distributed wear) and impulsive bursts (decaying rings at
-    resonance_hz, default 2.5x the rotation tone so they land inside the
-    analysed band) appear with growing amplitude and rate.
+    RESONANCE_RATIO times the rotation frequency) appear with growing
+    amplitude and rate.
     """
 
     rotation_hz: float = 35.0
@@ -195,14 +206,10 @@ class SynthConfig:
     channel_count: int = 2
     onset_fraction: float = 0.1
     growth_rate: float = 1.0
-    harmonic_amps: tuple = (1.0, 0.5, 0.25)
-    tone_growth: float = 0.5
     noise_std: float = 0.25
-    noise_growth: float = 3.0
     burst_amp: float = 4.0
     burst_rate_hz: float = 25.0
     burst_decay_s: float = 0.02
-    resonance_hz: float | None = None
 
 
 def synth_run_to_failure(config: SynthConfig, seed: int):
@@ -226,18 +233,16 @@ def synth_run_to_failure(config: SynthConfig, seed: int):
     onset_t = config.onset_fraction * config.duration_s
     # severity ramps 0 -> 1 from fault onset to failure
     severity = np.clip((t - onset_t) / max(config.duration_s - onset_t, 1e-12), 0.0, 1.0)
-    f_res = config.resonance_hz if config.resonance_hz is not None else 2.5 * config.rotation_hz
+    f_res = RESONANCE_RATIO * config.rotation_hz
 
-    tone_scale = 1.0 + config.tone_growth * config.growth_rate * severity
+    tone_scale = 1.0 + TONE_GROWTH * config.growth_rate * severity
     channels = np.empty((config.channel_count, n))
     for c in range(config.channel_count):
         x = np.zeros(n)
-        for h, amp in enumerate(config.harmonic_amps, start=1):
+        for h, amp in enumerate(HARMONIC_AMPS, start=1):
             phase = rng.uniform(0, 2 * np.pi)
             x += amp * tone_scale * np.sin(2 * np.pi * h * config.rotation_hz * t + phase)
-        noise_scale = config.noise_std * (
-            1.0 + config.noise_growth * config.growth_rate * severity
-        )
+        noise_scale = config.noise_std * (1.0 + NOISE_GROWTH * config.growth_rate * severity)
         x += noise_scale * rng.normal(0.0, 1.0, n)
 
         if config.growth_rate > 0:

@@ -13,9 +13,6 @@ import numpy as np
 from carle import _accel
 
 rng = np.random.default_rng(7)
-x = rng.normal(size=200)
-scales = np.geomspace(3.0, 40.0, 10)
-coef = _accel.cwt_scalogram(x, scales, 5.09, 1e-3)
 v = rng.normal(size=50)
 order = np.argsort(v)
 t = rng.normal(size=50)
@@ -23,9 +20,6 @@ split = _accel.split_scan(v[order], t[order], 2)
 print(json.dumps({
     "backend": _accel.backend(),
     "flag_read": _accel._numba_disabled(),
-    "coef_sum_re": float(coef.real.sum()),
-    "coef_sum_im": float(coef.imag.sum()),
-    "coef_abs": float(np.abs(coef).sum()),
     "split": [float(split[0]), float(split[1]), int(split[2])],
 }))
 """
@@ -71,12 +65,10 @@ def test_env_flag_selects_backend():
 
 def test_backends_agree_numerically():
     """Both runs are numpy where numba does not import; only where it does
-    does this compare the numba kernels with the numpy ones."""
+    does this compare the numba split scan with the numpy one. The wavelet
+    transform has one numpy path whatever the backend, so it is not compared."""
     numba_run = _run_with_env(disable=False)
     numpy_run = _run_with_env(disable=True)
-    for key in ("coef_sum_re", "coef_sum_im", "coef_abs"):
-        a, b = numba_run[key], numpy_run[key]
-        assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
     # split decisions must agree exactly in position and threshold
     assert numba_run["split"][2] == numpy_run["split"][2]
     assert numba_run["split"][1] == numpy_run["split"][1]

@@ -299,11 +299,42 @@ def _non_numeric_feature(root, tmp_path):
     return ["predict", "--checkpoint", str(root / "run" / "checkpoint.npz"), "--features", str(path)]
 
 
+def _unknown_forest_key(root, tmp_path):
+    path = tmp_path / "bogus_forest_key.npz"
+    with np.load(root / "run" / "checkpoint.npz") as data:
+        members = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(members["meta"]).decode())
+    meta["forest_config"]["bogus"] = 1
+    members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez_compressed(path, **members)
+    return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
+
+
+def _json_array_config(root, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    return ["extract", "--signal", str(root / "sig.csv"), "--config", str(path)]
+
+
+def _extract_set(override):
+    """Rows that run extract with one ill-typed --set value."""
+    def make_args(root, tmp_path):
+        return ["extract", "--signal", str(root / "sig.csv"), "--set", override]
+
+    return pytest.param(make_args, id=override)
+
+
 @pytest.mark.parametrize(
     "make_args",
     [
         _garbage_checkpoint, _truncated_checkpoint, _nan_feature_row, _bad_sigmas,
         _cyclic_checkpoint, _nan_feature_row_train, _non_numeric_feature,
+        _unknown_forest_key, _json_array_config,
+        _extract_set("extraction.window_len=abc"),
+        _extract_set("extraction.window_len=12.5"),
+        _extract_set("extraction.n_scales=null"),
+        _extract_set("training.epochs=true"),
+        _extract_set("extraction.sigma_g=Infinity"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):

@@ -49,6 +49,12 @@ class TestSignalCsv:
         with pytest.raises(InputError, match=r"sig.csv:2: column count"):
             dataio.read_signal_csv(path, 100.0)
 
+    def test_first_row_mixing_numbers_and_names_rejected(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("1.0,abc\n2.0,3.0\n4.0,5.0\n")
+        with pytest.raises(InputError, match=r"sig.csv:1: "):
+            dataio.read_signal_csv(path, 100.0)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -194,10 +194,3 @@ class TestExtractFeatures:
         assert any("degenerate" in rec.message for rec in caplog.records)
         # the all-constant first window is dropped; survivors keep their indices
         assert [v.window_index for v in vectors] == [1, 2, 3]
-
-    def test_strict_mode_raises_with_window_index(self):
-        channels = np.ones((1, 512))
-        sig = MultiChannelSignal(channels, 1024.0)
-        cfg = ExtractionConfig(window_len=256, f_o=35.0, n_scales=8, strict=True)
-        with pytest.raises(DegenerateWindowError, match="window 0"):
-            extract_features(sig, cfg)

@@ -3,7 +3,7 @@ import pytest
 
 from carle import forest
 from carle.checkpoint import load_checkpoint, save_checkpoint
-from carle.errors import InputError
+from carle.errors import InputError, ParameterError
 from carle.forest import Forest, ForestConfig
 from carle.nn.model import CarleNet
 
@@ -301,8 +301,10 @@ class TestForest:
             not np.array_equal(ta.value, tc.value) for ta, tc in zip(a.trees, c.trees)
         )
 
-    def test_default_tree_count_is_800(self):
-        assert ForestConfig().n_trees == 800
+    def test_unset_tree_count_rejected(self, rng):
+        X = rng.normal(size=(10, 3))
+        with pytest.raises(ParameterError, match="n_trees"):
+            forest.fit(X, rng.normal(size=10), ForestConfig(), seed=0)
 
     def test_errors(self, rng):
         X = rng.normal(size=(10, 3))

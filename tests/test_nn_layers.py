@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from carle.errors import ParameterError
-from carle.nn.layers import Conv1d, Dense, Flatten, Lstm, MaxPool1, MultiHeadAttention
+from carle.nn.layers import Conv1d, Dense, Flatten, Lstm, MultiHeadAttention
 from carle.nn.model import ResCnnUnit
 from conftest import jiggle_biases, layer_gradcheck
 
@@ -53,18 +53,6 @@ class TestConv1d:
         layer.add_reg_grads()
         assert np.allclose(layer.grads["W"], lam * layer.params["W"], rtol=0, atol=0)
         assert layer.reg_loss() == pytest.approx(0.5 * lam * np.sum(layer.params["W"] ** 2))
-
-
-class TestMaxPool1:
-    def test_identity(self, rng):
-        pool = MaxPool1(1)
-        x = rng.normal(size=(2, 4, 3))
-        assert np.array_equal(pool.forward(x), x)
-        assert np.array_equal(pool.backward(x), x)
-
-    def test_rejects_other_sizes(self):
-        with pytest.raises(ParameterError):
-            MaxPool1(2)
 
 
 class TestLstm:

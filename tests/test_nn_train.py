@@ -37,24 +37,24 @@ class TestTrain:
         X, y = _toy_data(rng, n=50)
         net = CarleNet(6, "gradcheck", seed=0)
         cfg = TrainConfig(batch_size=10, learning_rate=5e-3, epochs=400,
-                          early_stop_patience=400, plateau_patience=50, seed=0)
-        report = train(net, X, y, cfg)
+                          early_stop_patience=400, plateau_patience=50)
+        report = train(net, X, y, cfg, seed=0)
         assert report.best_loss < 0.05
 
     def test_loss_mostly_decreases_early(self, rng):
         X, y = _toy_data(rng, n=40)
         net = CarleNet(6, "gradcheck", seed=1)
         cfg = TrainConfig(batch_size=8, learning_rate=2e-3, epochs=10,
-                          early_stop_patience=10, seed=1)
-        report = train(net, X, y, cfg)
+                          early_stop_patience=10)
+        report = train(net, X, y, cfg, seed=1)
         drops = sum(1 for a, b in zip(report.history["loss"], report.history["loss"][1:]) if b <= a)
         assert drops >= 8 - 1  # non-increasing in at least 8 of 10 steps
 
     def test_patience_zero_stops_at_first_non_improvement(self, rng):
         X, y = _toy_data(rng, n=20)
         net = CarleNet(6, "gradcheck", seed=2)
-        cfg = TrainConfig(batch_size=5, epochs=200, early_stop_patience=0, seed=2)
-        report = train(net, X, y, cfg)
+        cfg = TrainConfig(batch_size=5, learning_rate=1e-3, epochs=200, early_stop_patience=0)
+        report = train(net, X, y, cfg, seed=2)
         loss = report.history["loss"]
         # every epoch before the stop improved on the running best
         best = np.inf
@@ -66,17 +66,17 @@ class TestTrain:
 
     def test_seed_determinism_bit_identical_history(self, rng):
         X, y = _toy_data(rng, n=25)
-        cfg = TrainConfig(batch_size=8, epochs=12, seed=7)
-        r1 = train(CarleNet(6, "gradcheck", seed=5), X, y, cfg)
-        r2 = train(CarleNet(6, "gradcheck", seed=5), X, y, cfg)
+        cfg = TrainConfig(batch_size=8, learning_rate=1e-3, epochs=12)
+        r1 = train(CarleNet(6, "gradcheck", seed=5), X, y, cfg, seed=7)
+        r2 = train(CarleNet(6, "gradcheck", seed=5), X, y, cfg, seed=7)
         assert r1.history["loss"] == r2.history["loss"]
         assert r1.history["mae"] == r2.history["mae"]
 
     def test_best_weights_restored(self, rng):
         X, y = _toy_data(rng, n=25)
         net = CarleNet(6, "gradcheck", seed=3)
-        cfg = TrainConfig(batch_size=8, epochs=30, early_stop_patience=30, seed=3)
-        report = train(net, X, y, cfg)
+        cfg = TrainConfig(batch_size=8, learning_rate=1e-3, epochs=30, early_stop_patience=30)
+        report = train(net, X, y, cfg, seed=3)
         _, pred = net.forward(X)
         final_rmse = float(np.sqrt(np.mean((pred - y) ** 2)))
         assert final_rmse == pytest.approx(report.best_loss, rel=1e-9)
@@ -87,22 +87,22 @@ class TestTrain:
         # huge lr: loss bounces, plateau kicks in quickly
         cfg = TrainConfig(batch_size=5, learning_rate=0.5, epochs=60,
                           early_stop_patience=60, plateau_patience=2,
-                          plateau_factor=0.5, seed=4)
-        report = train(net, X, y, cfg)
+                          plateau_factor=0.5)
+        report = train(net, X, y, cfg, seed=4)
         assert report.history["lr"][-1] < 0.5
 
     def test_validation_split_monitors_heldout(self, rng):
         X, y = _toy_data(rng, n=40)
         net = CarleNet(6, "gradcheck", seed=5)
-        cfg = TrainConfig(batch_size=8, epochs=10, val_fraction=0.25, seed=5)
-        report = train(net, X, y, cfg)
+        cfg = TrainConfig(batch_size=8, learning_rate=1e-3, epochs=10, val_fraction=0.25)
+        report = train(net, X, y, cfg, seed=5)
         assert report.epochs_run == 10
 
     def test_lstm_states_cleared_between_epochs(self, rng):
         X, y = _toy_data(rng, n=10)
         net = CarleNet(6, "gradcheck", seed=6)
-        cfg = TrainConfig(batch_size=5, epochs=2, seed=6)
-        train(net, X, y, cfg)
+        cfg = TrainConfig(batch_size=5, learning_rate=1e-3, epochs=2)
+        train(net, X, y, cfg, seed=6)
         # reset callback ran after the last epoch's updates
         net.reset_states()
         for lstm in net.lstms:
@@ -111,8 +111,8 @@ class TestTrain:
     def test_nan_loss_aborts_with_checkpoint(self, rng):
         X, y = _toy_data(rng, n=20)
         net = CarleNet(6, "gradcheck", seed=7)
-        cfg = TrainConfig(batch_size=5, epochs=50, seed=7)
-        report = train(net, X, y, cfg)
+        cfg = TrainConfig(batch_size=5, learning_rate=1e-3, epochs=50)
+        report = train(net, X, y, cfg, seed=7)
         assert not report.diverged
 
         # poison the weights mid-run via a monkeypatched step
@@ -127,7 +127,7 @@ class TestTrain:
             return orig(xb, yb)
 
         net2.loss_and_grads = wrapped
-        report2 = train(net2, X, y, cfg)
+        report2 = train(net2, X, y, cfg, seed=7)
         assert report2.diverged
         assert report2.best_epoch >= 0
 
@@ -136,7 +136,7 @@ class TestTrain:
         net = CarleNet(6, "gradcheck", seed=8)
         net.loss_and_grads = lambda xb, yb: (float("nan"), np.zeros(len(yb)))
         with pytest.raises(NumericalError):
-            train(net, X, y, TrainConfig(batch_size=5, epochs=3, seed=8))
+            train(net, X, y, TrainConfig(batch_size=5, learning_rate=1e-3, epochs=3), seed=8)
 
     def test_empty_dataset_rejected(self):
         net = CarleNet(6, "gradcheck", seed=9)

@@ -6,6 +6,7 @@ import pytest
 from carle.checkpoint import Scaler, load_checkpoint
 from carle.errors import InputError, ParameterError
 from carle.metrics import MetricReport
+from carle.nn.model import get_profile
 from carle.pipeline import (
     ExperimentConfig,
     build_sequences,
@@ -77,6 +78,56 @@ class TestConfig:
         again = ExperimentConfig.from_file(path)
         assert again.config_hash() == config.config_hash()
 
+    def test_schema_hash_unchanged(self):
+        # hashes stamped into files by earlier versions stay reproducible
+        assert ExperimentConfig().config_hash() == "27d4cf811fdb"
+        config = ExperimentConfig(seed=3).with_overrides(
+            {"synth.channel_count": 2, "model.profile": "pronostia"}
+        )
+        assert config.config_hash() == "3a69a2b492ba"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("extraction.window_len", "abc"),
+            ("extraction.window_len", 12.5),
+            ("extraction.n_scales", None),
+            ("training.epochs", True),
+            ("model.use_mha", 1),
+            ("forest.n_trees", [8]),
+            ("sample_rate_hz", "fast"),
+            ("extraction.sigma_g", float("nan")),
+        ],
+    )
+    def test_values_checked_against_field_types(self, key, value):
+        with pytest.raises(ParameterError, match=repr(key)):
+            ExperimentConfig().with_overrides({key: value})
+
+    def test_ints_are_floats_and_none_fills_optionals(self):
+        config = ExperimentConfig().with_overrides(
+            {"extraction.sigma_g": 2, "extraction.stride": 128, "forest.n_trees": None}
+        )
+        assert config.extraction.sigma_g == 2
+        assert config.extraction.stride == 128
+        assert config.forest.n_trees is None
+
+    def test_from_dict_keeps_base_values(self):
+        base = tiny_config()
+        config = ExperimentConfig.from_dict({"training": {"epochs": 7}}, base=base)
+        assert config.training.epochs == 7
+        assert config.training.batch_size == 8
+        assert config.extraction.window_len == 128
+        assert base.training.epochs == 30
+        assert config.extraction is not base.extraction  # no section is shared
+
+    def test_non_object_documents_rejected(self):
+        with pytest.raises(ParameterError, match="JSON object"):
+            ExperimentConfig.from_dict([1, 2])
+        with pytest.raises(ParameterError, match="'training' must be a JSON object"):
+            ExperimentConfig.from_dict({"training": 5})
+        with pytest.raises(ParameterError, match="'seed' must be int"):
+            ExperimentConfig().with_overrides({"seed.inner": 1})
+
     def test_derive_seed_streams_differ(self):
         seeds = {name: derive_seed(7, name) for name in ("synth", "noise", "init", "train", "bootstrap")}
         assert len(set(seeds.values())) == len(seeds)
@@ -139,6 +190,15 @@ class TestTrainModel:
         assert model.forest is not None
         report = MetricReport.compute(y, pred)
         assert report.mae < 0.25
+
+    def test_default_tree_count_is_the_profiles(self):
+        # an unset forest.n_trees takes the profile's count: 800 at paper size
+        assert get_profile("xjtu").n_trees == get_profile("pronostia").n_trees == 800
+        config = tiny_config(**{"forest.n_trees": None})
+        X, y = self._data(config)
+        model = train_model(X, y, config, "carle")
+        assert model.forest.config.n_trees == get_profile("toy").n_trees
+        assert len(model.forest.offsets) - 1 == get_profile("toy").n_trees
 
     def test_carl_has_no_forest(self):
         config = tiny_config()
