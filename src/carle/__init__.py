@@ -8,7 +8,12 @@ noise-robustness tooling, and cross-domain feature alignment.
 __version__ = "0.1.0"
 
 from . import adapt, cwt, features, forest, labels, metrics, nn, signal
-from ._accel import backend
+
+
+def backend() -> str:
+    """Name of the kernel backend; every kernel is numpy."""
+    return "numpy"
+
 
 __all__ = [
     "adapt",

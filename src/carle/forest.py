@@ -11,7 +11,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._accel import split_scan
 from .errors import InputError, ParameterError
 
 
@@ -29,6 +28,34 @@ class ForestConfig:
             raise ParameterError(f"forest.n_trees must be >= 1, got {self.n_trees}")
         if self.min_samples_leaf < 1:
             raise ParameterError(f"forest.min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+
+
+def split_scan(values, targets, min_leaf):
+    """Best variance-reduction split of one feature column sorted ascending,
+    with its targets aligned: (sse, threshold, left_count) minimising
+    SSE_left + SSE_right, or (inf, 0.0, -1) when no split is allowed.
+
+    Candidate thresholds are midpoints between distinct adjacent values; the
+    lowest-threshold minimum wins.
+    """
+    n = targets.shape[0]
+    if n < 2 * min_leaf:
+        return math.inf, 0.0, -1
+    c1 = np.cumsum(targets)
+    c2 = np.cumsum(targets * targets)
+    tot1 = c1[-1]
+    tot2 = c2[-1]
+    i = np.arange(1, n)  # left-side count at each candidate position
+    valid = (i >= min_leaf) & (n - i >= min_leaf) & (values[:-1] < values[1:])
+    if not valid.any():
+        return math.inf, 0.0, -1
+    s1 = c1[:-1]
+    s2 = c2[:-1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sse = (s2 - s1 * s1 / i) + ((tot2 - s2) - (tot1 - s1) * (tot1 - s1) / (n - i))
+    sse = np.where(valid, sse, math.inf)
+    j = int(np.argmin(sse))  # first minimum = lowest threshold wins
+    return float(sse[j]), 0.5 * (values[j] + values[j + 1]), j + 1
 
 
 class _ForestBuilder:

@@ -109,14 +109,9 @@ class SynthSection:
     burst_decay_s: float = 0.01
 
     def validate(self):
-        if self.duration_s <= 0:
-            raise ParameterError(f"synth.duration_s must be positive, got {self.duration_s}")
-        if self.channel_count < 1:
-            raise ParameterError(f"synth.channel_count must be >= 1, got {self.channel_count}")
-        if not 0.0 <= self.onset_fraction < 1.0:
-            raise ParameterError(f"synth.onset_fraction must be in [0,1), got {self.onset_fraction}")
-        if self.growth_rate < 0:
-            raise ParameterError(f"synth.growth_rate must be >= 0, got {self.growth_rate}")
+        # rotation_hz None follows extraction.f_o, which ExtractionConfig checks
+        fields = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+        SynthConfig(**fields).validate("synth.")
 
 
 @dataclass

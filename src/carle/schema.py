@@ -44,10 +44,14 @@ def read(cls, doc, base=None, prefix: str = ""):
 
 def _checked(key: str, value, annotation):
     """``value`` if it fits ``annotation`` (a type or ``X | None``): a bool
-    is not an int, an int is a float, and a float must be finite."""
+    is not an int, and a float must be finite. An int given for a float is
+    stored as that float, so ``2`` and ``2.0`` make one config and one hash."""
     types = typing.get_args(annotation) or (annotation,)
-    if float in types:
-        types += (int,)
+    if float in types and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ParameterError(f"config key {key!r} must be finite, got {value!r}") from None
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         expected = getattr(annotation, "__name__", str(annotation))
         raise ParameterError(f"config key {key!r} must be {expected}, got {value!r}")

@@ -206,10 +206,26 @@ class SynthConfig:
     channel_count: int = 2
     onset_fraction: float = 0.1
     growth_rate: float = 1.0
-    noise_std: float = 0.25
+    noise_std: float = 0.2
     burst_amp: float = 4.0
-    burst_rate_hz: float = 25.0
-    burst_decay_s: float = 0.02
+    burst_rate_hz: float = 12.0
+    burst_decay_s: float = 0.01
+
+    def validate(self, prefix: str = ""):
+        """Raise ParameterError naming the first field that is not finite or
+        breaks its bound; ``prefix`` goes before the field name."""
+        rules = (
+            ("positive", lambda v: v > 0,
+             ("rotation_hz", "sample_rate_hz", "duration_s", "burst_rate_hz", "burst_decay_s")),
+            (">= 0", lambda v: v >= 0, ("noise_std", "burst_amp", "growth_rate")),
+            (">= 1", lambda v: v >= 1, ("channel_count",)),
+            ("in [0,1)", lambda v: 0 <= v < 1, ("onset_fraction",)),
+        )
+        for bound, holds, names in rules:
+            for name in names:
+                value = getattr(self, name)
+                if not (math.isfinite(value) and holds(value)):
+                    raise ParameterError(f"{prefix}{name} must be finite and {bound}, got {value}")
 
 
 def synth_run_to_failure(config: SynthConfig, seed: int):
@@ -219,13 +235,7 @@ def synth_run_to_failure(config: SynthConfig, seed: int):
     failure time (end of record) and the fault onset time for label
     generation.
     """
-    if config.duration_s <= 0:
-        raise ParameterError(f"duration_s must be positive, got {config.duration_s}")
-    if config.rotation_hz <= 0:
-        raise ParameterError(f"rotation_hz must be positive, got {config.rotation_hz}")
-    if not 0.0 <= config.onset_fraction < 1.0:
-        raise ParameterError(f"onset_fraction must be in [0,1), got {config.onset_fraction}")
-
+    config.validate()
     rng = np.random.default_rng(seed)
     fs = config.sample_rate_hz
     n = int(round(config.duration_s * fs))

@@ -324,6 +324,14 @@ def _extract_set(override):
     return pytest.param(make_args, id=override)
 
 
+def _synth_with(flag):
+    """Rows that run a 2 s synth with one out-of-bounds parameter."""
+    def make_args(root, tmp_path):
+        return ["synth", "--set", "synth.duration_s=2", flag]
+
+    return pytest.param(make_args, id=flag)
+
+
 @pytest.mark.parametrize(
     "make_args",
     [
@@ -335,6 +343,11 @@ def _extract_set(override):
         _extract_set("extraction.n_scales=null"),
         _extract_set("training.epochs=true"),
         _extract_set("extraction.sigma_g=Infinity"),
+        _synth_with("--set=synth.burst_rate_hz=0"),
+        _synth_with("--set=synth.burst_rate_hz=-1"),
+        _synth_with("--set=synth.burst_decay_s=0"),
+        _synth_with("--rotation-hz=nan"),
+        _synth_with("--rotation-hz=inf"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from carle import _accel
-from carle._accel import TRUNC_TAU
-from carle.cwt import build_scale_grid, morlet, phase_coefficient, transform
+from carle import cwt
+from carle.cwt import TRUNC_TAU, build_scale_grid, morlet, phase_coefficient, transform
 from carle.errors import InputError, ParameterError
 
 
@@ -160,7 +159,7 @@ class TestTransform:
         scales = np.geomspace(0.3, 300.0, 12)
         x = rng.normal(size=n)
         k = phase_coefficient(0.81, two_pi_phase)
-        via_fft = _accel.cwt_scalogram(x, scales, k, 1.0 / self.fs)
+        via_fft = cwt.cwt_scalogram(x, scales, k, 1.0 / self.fs)
         direct = direct_scalogram(x, scales, k, 1.0 / self.fs)
         assert np.allclose(via_fft, direct, rtol=1e-10, atol=1e-12)
 
@@ -172,13 +171,29 @@ class TestTransform:
         cases = [(grid, rng.normal(size=n)) for n in (256, 300) for grid in grids]
         fresh = []
         for grid, x in cases:
-            _accel._wavelet_spectra.cache_clear()
-            fresh.append(_accel.cwt_scalogram(x, grid.scales, k, dt))
+            cwt._wavelet_spectra.cache_clear()
+            fresh.append(cwt.cwt_scalogram(x, grid.scales, k, dt))
         for _ in range(2):
             for (grid, x), want in zip(cases, fresh):
-                assert np.array_equal(_accel.cwt_scalogram(x, grid.scales, k, dt), want)
-        assert _accel._wavelet_spectra.cache_info().currsize == len(cases)
+                assert np.array_equal(cwt.cwt_scalogram(x, grid.scales, k, dt), want)
+        assert cwt._wavelet_spectra.cache_info().currsize == len(cases)
         for grid, x in cases:
-            spectra = _accel._wavelet_spectra(len(x), grid.scales.tobytes(), k, dt)
+            spectra = cwt._wavelet_spectra(len(x), grid.scales.tobytes(), k, dt)
             with pytest.raises(ValueError):
                 spectra[0, 0] = 0.0
+
+
+def test_cwt_kernel_truncation_harmless(rng):
+    # widening the envelope cutoff must not change coefficients measurably
+    x = rng.normal(size=128)
+    scales = np.array([2.0, 5.0])
+    base = cwt.cwt_scalogram(x, scales, 5.09, 1e-3)
+    # reference with an explicitly huge support via the numpy path
+    out = np.empty_like(base)
+    for i, a in enumerate(scales):
+        half = 4 * 128  # effectively untruncated
+        tau = np.arange(-half, half + 1) / a
+        kernel = np.exp(-0.5 * tau * tau) * np.exp(-1j * 5.09 * tau)
+        full = np.convolve(x, kernel[::-1])
+        out[i] = full[half:half + 128] * (1e-3 / np.sqrt(a))
+    assert np.allclose(base, out, rtol=1e-7, atol=1e-12)

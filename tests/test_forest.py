@@ -73,6 +73,21 @@ def assert_tree_optimal(tree, X, y, min_leaf, max_depth, node=0, depth=0):
     assert_tree_optimal(tree, X[~mask], y[~mask], min_leaf, max_depth, tree.right[node], depth + 1)
 
 
+def test_split_scan_respects_min_leaf(rng):
+    v = np.sort(rng.normal(size=20))
+    t = rng.normal(size=20)
+    _, _, pos = forest.split_scan(v, t, 8)
+    assert pos < 0 or 8 <= pos <= 12
+
+
+def test_split_scan_no_split_on_constant_feature(rng):
+    v = np.ones(10)
+    t = rng.normal(size=10)
+    sse, _, pos = forest.split_scan(v, t, 1)
+    assert pos == -1
+    assert sse == np.inf
+
+
 class TestTreeOracle:
     def test_splits_match_brute_force_suite(self):
         rng = np.random.default_rng(404)

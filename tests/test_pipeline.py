@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from carle import cli
 from carle.checkpoint import Scaler, load_checkpoint
 from carle.errors import InputError, ParameterError
 from carle.metrics import MetricReport
@@ -21,6 +22,7 @@ from carle.pipeline import (
     train_model,
     variant_flags,
 )
+from carle.signal import SynthConfig
 
 
 def tiny_config(**overrides):
@@ -97,6 +99,7 @@ class TestConfig:
             ("forest.n_trees", [8]),
             ("sample_rate_hz", "fast"),
             ("extraction.sigma_g", float("nan")),
+            pytest.param("extraction.sigma_g", 10**400, id="extraction.sigma_g-int_past_float"),
         ],
     )
     def test_values_checked_against_field_types(self, key, value):
@@ -110,6 +113,24 @@ class TestConfig:
         assert config.extraction.sigma_g == 2
         assert config.extraction.stride == 128
         assert config.forest.n_trees is None
+
+    @pytest.mark.parametrize("spelling", ["2", "2.0"])
+    def test_int_spelled_float_hashes_as_float(self, tmp_path, spelling):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"extraction": {{"sigma_g": {spelling}}}}}')
+        via_set = cli.resolve_config(
+            cli.build_parser().parse_args(
+                ["extract", "--signal", "s.csv", "--out", "f.csv", "--set", f"extraction.sigma_g={spelling}"]
+            )
+        )
+        via_file = ExperimentConfig.from_file(path)
+        for config in (via_set, via_file):
+            assert type(config.extraction.sigma_g) is float
+            assert config.config_hash() == "a77ad8ec6c10"
+
+    def test_synth_section_defaults_are_synth_config_defaults(self):
+        # the library and `carle synth` make the same recording from one seed
+        assert ExperimentConfig().synth_config() == SynthConfig()
 
     def test_from_dict_keeps_base_values(self):
         base = tiny_config()

@@ -242,6 +242,21 @@ class TestSynth:
         assert abs(meta["onset_time_s"] - 1.0) < 1e-12
         assert meta["n_samples"] == sig.length
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rotation_hz", 0.0), ("rotation_hz", float("nan")), ("rotation_hz", float("inf")),
+            ("sample_rate_hz", 0.0), ("duration_s", -1.0), ("burst_rate_hz", 0.0),
+            ("burst_decay_s", 0.0), ("noise_std", -0.1), ("burst_amp", -1.0),
+            ("growth_rate", -0.5), ("channel_count", 0), ("onset_fraction", 1.0),
+            ("onset_fraction", -0.1), ("burst_amp", float("inf")),
+        ],
+    )
+    def test_every_bound_checked(self, name, value):
+        config = SynthConfig(**{"duration_s": 1.0, name: value})
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            synth_run_to_failure(config, seed=0)
+
     def test_bad_config(self):
         with pytest.raises(ParameterError):
             synth_run_to_failure(SynthConfig(duration_s=0.0), seed=0)
