@@ -1,5 +1,10 @@
-"""Combined model artifact: network weights, optimizer state, feature scaler,
-and the forest, in one self-describing npz container with a versioned header."""
+"""Model artifact container: one npz file holding a versioned JSON header and
+the model's arrays, each stored as the member ``section::name``.
+
+The header carries the config the model was trained from. The pipeline
+rebuilds the model from that config, so this module only writes and reads
+the header and the arrays.
+"""
 
 import json
 import zipfile
@@ -9,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import schema
-from .errors import InputError, ParameterError
-from .forest import Forest, ForestConfig
-from .nn.model import CarleNet
+from .errors import InputError
 
 FORMAT_MAGIC = "carle-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -44,68 +46,22 @@ class Scaler:
         return np.clip(z, -self.clip, self.clip)
 
 
-def save_checkpoint(
-    path,
-    net: CarleNet,
-    forest: Forest | None = None,
-    scaler: Scaler | None = None,
-    optimizer=None,
-    config: dict | None = None,
-    history: dict | None = None,
-    extra_meta: dict | None = None,
-):
-    meta = {
-        "magic": FORMAT_MAGIC,
-        "version": FORMAT_VERSION,
-        "profile": net.profile.name,
-        "input_width": net.input_width,
-        "use_mha": net.use_mha,
-        "use_residual": net.use_residual,
-        "cross_block_residual": net.cross_block_residual,
-        "net_seed": net.seed,
-        "param_shapes": {name: list(arr.shape) for name, arr in net.parameters()},
-        "has_forest": forest is not None,
-        "has_scaler": scaler is not None,
-        "has_optimizer": optimizer is not None,
-        "config": config or {},
-        "history": history or {},
+def save_checkpoint(path, meta: dict, sections: dict):
+    """Write ``meta`` after the format's magic and version as the header, and
+    every array of ``sections`` ({section: {name: array}}) as a member."""
+    header = {"magic": FORMAT_MAGIC, "version": FORMAT_VERSION, **meta}
+    arrays = {
+        f"{section}::{name}": arr
+        for section, group in sections.items()
+        for name, arr in group.items()
     }
-    if extra_meta:
-        meta.update(extra_meta)
-
-    arrays = {}
-    for name, arr in net.parameters():
-        arrays[f"nn::{name}"] = arr
-    if optimizer is not None:
-        meta["optimizer"] = {
-            "learning_rate": optimizer.learning_rate,
-            "decay": optimizer.decay,
-            "epsilon": optimizer.epsilon,
-        }
-        for name, acc in optimizer.accum.items():
-            arrays[f"opt::{name}"] = acc
-    if scaler is not None:
-        arrays["scaler::mean"] = scaler.mean
-        arrays["scaler::std"] = scaler.std
-        meta["scaler_clip"] = scaler.clip
-    if forest is not None:
-        meta["forest_config"] = forest.config.__dict__
-        meta["forest_n_features"] = forest.n_features
-        arrays.update({f"forest::{k}": getattr(forest, k) for k in Forest.ARRAYS})
-
-    np.savez_compressed(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    np.savez_compressed(path, meta=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
 
 
 @dataclass
 class CheckpointBundle:
-    net: CarleNet
-    forest: Forest | None
-    scaler: Scaler | None
     meta: dict
-
-    @property
-    def config(self) -> dict:
-        return self.meta.get("config", {})
+    sections: dict  # section -> {name: array}
 
 
 @contextmanager
@@ -132,7 +88,7 @@ def _header(data, path) -> dict:
         meta = json.loads(bytes(data["meta"]).decode())
     except (KeyError, ValueError) as exc:
         raise InputError(f"{path}: not a model checkpoint (missing header)") from exc
-    if meta.get("magic") != FORMAT_MAGIC:
+    if not isinstance(meta, dict) or meta.get("magic") != FORMAT_MAGIC:
         raise InputError(f"{path}: not a model checkpoint (bad magic)")
     if meta.get("version") != FORMAT_VERSION:
         raise InputError(f"{path}: unsupported checkpoint version {meta.get('version')}")
@@ -140,38 +96,16 @@ def _header(data, path) -> dict:
 
 
 def read_meta(path) -> dict:
-    """The checkpoint's header alone, without building the model."""
+    """The checkpoint's header alone, without reading its arrays."""
     with _open(path) as (_, meta):
         return meta
 
 
 def load_checkpoint(path) -> CheckpointBundle:
     with _open(path) as (data, meta):
-        net = CarleNet(
-            meta["input_width"],
-            meta["profile"],
-            use_mha=meta["use_mha"],
-            use_residual=meta["use_residual"],
-            cross_block_residual=meta["cross_block_residual"],
-            seed=meta["net_seed"],
-        )
-        weights = {
-            name[len("nn::"):]: data[name] for name in data.files if name.startswith("nn::")
-        }
-        net.set_weights(weights)
-        forest = None
-        if meta["has_forest"]:
-            try:
-                config = schema.read(ForestConfig, meta["forest_config"], prefix="forest_config.")
-                config.validate()
-            except ParameterError as exc:
-                raise InputError(f"{path}: {exc}") from exc
-            forest = Forest(
-                **{name: data[f"forest::{name}"] for name in Forest.ARRAYS},
-                n_features=meta["forest_n_features"],
-                config=config,
-            ).validate()
-        scaler = None
-        if meta["has_scaler"]:
-            scaler = Scaler(data["scaler::mean"], data["scaler::std"], meta["scaler_clip"])
-    return CheckpointBundle(net, forest, scaler, meta)
+        sections = {}
+        for member in data.files:
+            if member != "meta":
+                section, _, name = member.partition("::")
+                sections.setdefault(section, {})[name] = data[member]
+    return CheckpointBundle(meta, sections)

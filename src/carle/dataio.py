@@ -177,11 +177,6 @@ def write_metrics_json(path, payload: dict, config_hash: str = ""):
         fh.write("\n")
 
 
-def read_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def write_snr_csv(path, pairs, config_hash: str = ""):
     with open(path, "w", newline="") as fh:
         if config_hash:

@@ -27,7 +27,6 @@ FEATURE_NAMES = (
     "mean",
     "std",
 )
-N_FEATURES = len(FEATURE_NAMES)
 
 
 @dataclass

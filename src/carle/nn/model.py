@@ -154,10 +154,7 @@ class CarleNet:
             profile = get_profile(profile)
         self.profile = profile
         self.input_width = input_width
-        self.use_mha = use_mha
         self.use_residual = use_residual
-        self.cross_block_residual = cross_block_residual
-        self.seed = seed
         rng = np.random.default_rng(np.random.SeedSequence(seed))
 
         self.cnn_units = []

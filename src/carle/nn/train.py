@@ -69,7 +69,6 @@ class TrainReport:
     best_loss: float = math.inf
     stopped_epoch: int = -1
     diverged: bool = False
-    optimizer: object = None  # final RmsProp state, persisted into checkpoints
 
     @property
     def epochs_run(self) -> int:
@@ -116,7 +115,7 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
     y_mon = y[val_idx] if val_idx is not None else y_train
 
     opt = RmsProp(net.parameters(), config.learning_rate, config.decay, config.epsilon)
-    report = TrainReport(optimizer=opt)
+    report = TrainReport()
     best_weights = net.get_weights()
     epochs_since_best = 0
     plateau_counter = 0

@@ -15,7 +15,7 @@ import numpy as np
 from . import adapt as adapt_mod
 from . import forest as forest_mod
 from . import schema
-from .checkpoint import CheckpointBundle, Scaler, load_checkpoint, read_meta, save_checkpoint
+from .checkpoint import Scaler, load_checkpoint, read_meta, save_checkpoint
 from .errors import InputError, ParameterError
 from .features import ExtractionConfig, extract_features, feature_matrix
 from .labels import make_labels
@@ -144,6 +144,8 @@ class ExperimentConfig:
     adapt: AdaptSection = field(default_factory=AdaptSection)
 
     def validate(self) -> "ExperimentConfig":
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.sample_rate_hz <= 0:
             raise ParameterError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         for f in dataclasses.fields(self):
@@ -273,6 +275,28 @@ def variant_flags(variant: str, config: ExperimentConfig):
     return use_mha, use_residual
 
 
+def build_model(config: ExperimentConfig, variant: str, input_width: int):
+    """The untrained network and the forest config (None for the 'carl'
+    variant) of a model; train_model fits them, load_model fills them from a
+    checkpoint."""
+    use_mha, use_residual = variant_flags(variant, config)
+    profile = config.profile()
+    net = CarleNet(
+        input_width,
+        profile,
+        use_mha=use_mha,
+        use_residual=use_residual,
+        cross_block_residual=config.model.cross_block_residual,
+        seed=derive_seed(config.seed, "init"),
+    )
+    if variant == "carl":
+        return net, None
+    forest_config = config.forest
+    if forest_config.n_trees is None:
+        forest_config = dataclasses.replace(forest_config, n_trees=profile.n_trees)
+    return net, forest_config
+
+
 def train_model(X, y, config: ExperimentConfig, variant: str = "carle") -> TrainedModel:
     """Two-phase fit: the network on (features, labels), then the forest on
     the network's logit rows (skipped for the 'carl' variant)."""
@@ -280,62 +304,66 @@ def train_model(X, y, config: ExperimentConfig, variant: str = "carle") -> Train
     y = np.asarray(y, dtype=np.float64).ravel()
     if len(X) != len(y):
         raise InputError(f"feature/label mismatch: {len(X)} rows vs {len(y)} labels")
-    use_mha, use_residual = variant_flags(variant, config)
-    profile = config.profile()
+    net, forest_config = build_model(config, variant, X.shape[1])
 
     scaler = Scaler.fit(X, clip=config.model.z_clip) if config.model.standardize else None
     Xs = scaler.transform(X) if scaler is not None else X
-    seqs = build_sequences(Xs, profile.seq_len)
-
-    net = CarleNet(
-        X.shape[1],
-        profile,
-        use_mha=use_mha,
-        use_residual=use_residual,
-        cross_block_residual=config.model.cross_block_residual,
-        seed=derive_seed(config.seed, "init"),
-    )
+    seqs = build_sequences(Xs, net.profile.seq_len)
     report = train(net, seqs, y, config.training, seed=derive_seed(config.seed, "train"))
 
     trained_forest = None
-    if variant != "carl":
-        logits = net.logits(seqs)
-        forest_config = config.forest
-        if forest_config.n_trees is None:
-            forest_config = dataclasses.replace(forest_config, n_trees=profile.n_trees)
+    if forest_config is not None:
         trained_forest = forest_mod.fit(
-            logits, y, forest_config, seed=derive_seed(config.seed, "bootstrap")
+            net.logits(seqs), y, forest_config, seed=derive_seed(config.seed, "bootstrap")
         )
     return TrainedModel(net, trained_forest, scaler, report, variant)
 
 
 def save_model(path, model: TrainedModel, config: ExperimentConfig):
-    save_checkpoint(
-        path,
-        model.net,
-        forest=model.forest,
-        scaler=model.scaler,
-        optimizer=model.report.optimizer,
-        config=config.to_dict(),
-        history=model.report.history,
-        extra_meta={
-            "variant": model.variant,
-            "config_hash": config.config_hash(),
-            "best_epoch": model.report.best_epoch,
-            "diverged": model.report.diverged,
-        },
-    )
+    """Save ``model``, trained from ``config``; the header stores the config
+    and not the model's structure, which load_model rebuilds from it."""
+    sections = {"nn": dict(model.net.parameters())}
+    if model.scaler is not None:
+        sections["scaler"] = {"mean": model.scaler.mean, "std": model.scaler.std}
+    if model.forest is not None:
+        sections["forest"] = {name: getattr(model.forest, name) for name in forest_mod.Forest.ARRAYS}
+    meta = {
+        "variant": model.variant,
+        "input_width": model.net.input_width,
+        "config": config.to_dict(),
+        "has_forest": model.forest is not None,
+        "config_hash": config.config_hash(),
+        "best_epoch": model.report.best_epoch,
+        "diverged": model.report.diverged,
+        "history": model.report.history,
+    }
+    save_checkpoint(path, meta, sections)
 
 
 def load_model(path) -> TrainedModel:
-    bundle: CheckpointBundle = load_checkpoint(path)
-    return TrainedModel(
-        bundle.net,
-        bundle.forest,
-        bundle.scaler,
-        report=None,
-        variant=bundle.meta.get("variant", "carle"),
-    )
+    """The model of a checkpoint, built by build_model from the stored config
+    and variant; the forest is checked before it is used."""
+    bundle = load_checkpoint(path)
+    meta, sections = bundle.meta, bundle.sections
+    try:
+        config = ExperimentConfig.from_dict(meta["config"])
+        net, forest_config = build_model(config, meta["variant"], meta["input_width"])
+        net.set_weights(sections["nn"])
+        scaler = None
+        if config.model.standardize:
+            scaler = Scaler(sections["scaler"]["mean"], sections["scaler"]["std"], config.model.z_clip)
+        forest = None
+        if forest_config is not None:
+            arrays = {name: sections["forest"][name] for name in forest_mod.Forest.ARRAYS}
+            forest = forest_mod.Forest(
+                **arrays, n_features=net.profile.linear_units[-1], config=forest_config
+            ).validate()
+            forest.config = dataclasses.replace(forest_config, n_trees=len(forest.offsets) - 1)
+    except ParameterError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise InputError(f"{path}: unreadable checkpoint (missing {exc})") from exc
+    return TrainedModel(net, forest, scaler, report=None, variant=meta["variant"])
 
 
 def config_from_checkpoint(path) -> ExperimentConfig:

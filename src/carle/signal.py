@@ -43,8 +43,8 @@ class GaussianKernel:
     taps: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
         radius = max(1, int(math.ceil(4.0 * self.sigma)))
         x = np.arange(-radius, radius + 1, dtype=np.float64)
         taps = np.exp(-0.5 * (x / self.sigma) ** 2)
@@ -68,8 +68,13 @@ def gaussian_filter(signal: MultiChannelSignal, sigma: float) -> MultiChannelSig
     """Smooth every channel by convolution with a normalised Gaussian kernel.
 
     Boundaries use reflect padding, so constant signals pass through
-    unchanged and output length equals input length.
+    unchanged and output length equals input length. The kernel radius
+    ceil(4*sigma) may not exceed the signal length.
     """
+    if 4.0 * sigma > signal.length:
+        raise ParameterError(
+            f"sigma {sigma} is too wide for a {signal.length}-sample signal (4*sigma > length)"
+        )
     kernel = GaussianKernel(sigma)
     r = kernel.radius
     out = np.empty_like(signal.channels)

@@ -122,6 +122,26 @@ class TestPredict:
         ) == 0
         assert len(loads) == 1
 
+    def test_predict_reproduces_training_with_seq_len_override(self, workspace, tmp_path):
+        # the network is rebuilt from the stored config, seq_len override included
+        root, common = workspace
+        args = [*common, "--set", "model.seq_len=5", "--set", "training.epochs=3"]
+        assert run_cli(
+            "train", "--features", str(root / "feats.csv"), "--labels", str(root / "labels.csv"),
+            "--out-dir", str(tmp_path / "run"), *args
+        ) == 0
+        assert run_cli(
+            "predict", "--checkpoint", str(tmp_path / "run" / "checkpoint.npz"),
+            "--features", str(root / "feats.csv"), "--labels", str(root / "labels.csv"),
+            "--out", str(tmp_path / "pred.csv"),
+        ) == 0
+
+        def y_pred(path):
+            rows = [l.split(",") for l in path.read_text().splitlines() if not l.startswith("#")]
+            return [row[2] for row in rows[1:]]
+
+        assert y_pred(tmp_path / "pred.csv") == y_pred(tmp_path / "run" / "predictions.csv")
+
     def test_predict_missing_checkpoint_exits_2(self, workspace, tmp_path):
         root, common = workspace
         code = run_cli(
@@ -157,7 +177,7 @@ class TestAblate:
             "ablate", "--features", str(root / "feats.csv"), "--labels", str(root / "labels.csv"),
             "--out-dir", str(out_dir), *common
         ) == 0
-        nets = {v: load_checkpoint(out_dir / f"{v}.npz").net for v in ("carle", "crle", "cale")}
+        nets = {v: pipeline.load_model(out_dir / f"{v}.npz").net for v in ("carle", "crle", "cale")}
         carle = nets["carle"]
         assert carle.parameter_count() == nets["cale"].parameter_count() + carle.residual_param_count()
         assert carle.parameter_count() == nets["crle"].parameter_count() + carle.attention_param_count()
@@ -277,6 +297,12 @@ def _cyclic_checkpoint(root, tmp_path):
     return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
 
 
+def _list_header_checkpoint(root, tmp_path):
+    path = tmp_path / "list_header.npz"
+    np.savez(path, meta=np.frombuffer(b"[1, 2]", dtype=np.uint8))
+    return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
+
+
 def _feature_csv_with(root, tmp_path, token):
     """The workspace feature CSV with the third value of data row 3 replaced."""
     lines = (root / "feats.csv").read_text().splitlines()
@@ -299,12 +325,24 @@ def _non_numeric_feature(root, tmp_path):
     return ["predict", "--checkpoint", str(root / "run" / "checkpoint.npz"), "--features", str(path)]
 
 
+def _snr_sweep(sigmas):
+    """Rows that run snr-sweep over one bad list of smoothing widths."""
+    def make_args(root, tmp_path):
+        return ["snr-sweep", "--signal", str(root / "sig.csv"), "--sigmas", sigmas]
+
+    return pytest.param(make_args, id=f"--sigmas={sigmas}")
+
+
+def _negative_seed_train(root, tmp_path):
+    return ["train", "--features", str(root / "feats.csv"), "--set", "seed=-5"]
+
+
 def _unknown_forest_key(root, tmp_path):
     path = tmp_path / "bogus_forest_key.npz"
     with np.load(root / "run" / "checkpoint.npz") as data:
         members = {name: data[name] for name in data.files}
     meta = json.loads(bytes(members["meta"]).decode())
-    meta["forest_config"]["bogus"] = 1
+    meta["config"]["forest"]["bogus"] = 1
     members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez_compressed(path, **members)
     return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
@@ -317,7 +355,7 @@ def _json_array_config(root, tmp_path):
 
 
 def _extract_set(override):
-    """Rows that run extract with one ill-typed --set value."""
+    """Rows that run extract with one ill-typed or out-of-range --set value."""
     def make_args(root, tmp_path):
         return ["extract", "--signal", str(root / "sig.csv"), "--set", override]
 
@@ -336,13 +374,17 @@ def _synth_with(flag):
     "make_args",
     [
         _garbage_checkpoint, _truncated_checkpoint, _nan_feature_row, _bad_sigmas,
-        _cyclic_checkpoint, _nan_feature_row_train, _non_numeric_feature,
-        _unknown_forest_key, _json_array_config,
+        _cyclic_checkpoint, _list_header_checkpoint, _nan_feature_row_train, _non_numeric_feature,
+        _unknown_forest_key, _json_array_config, _negative_seed_train,
+        _snr_sweep("1,inf"),
+        _snr_sweep("1,1e300"),
         _extract_set("extraction.window_len=abc"),
         _extract_set("extraction.window_len=12.5"),
         _extract_set("extraction.n_scales=null"),
         _extract_set("training.epochs=true"),
         _extract_set("extraction.sigma_g=Infinity"),
+        _extract_set("extraction.sigma_g=1e300"),
+        _synth_with("--seed=-1"),
         _synth_with("--set=synth.burst_rate_hz=0"),
         _synth_with("--set=synth.burst_rate_hz=-1"),
         _synth_with("--set=synth.burst_decay_s=0"),

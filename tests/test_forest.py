@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from carle import forest
-from carle.checkpoint import load_checkpoint, save_checkpoint
+from carle import forest, pipeline
 from carle.errors import InputError, ParameterError
 from carle.forest import Forest, ForestConfig
-from carle.nn.model import CarleNet
+from carle.nn.train import TrainReport
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle: exhaustive variance-minimisation split search, written
@@ -220,22 +221,34 @@ class TestForest:
             with pytest.raises(InputError):
                 model.predict(Xq)
 
+    @staticmethod
+    def save_with_forest(path, model):
+        """Save ``model`` as the forest of an untrained network whose logit
+        rows are 2 wide (the gradcheck profile)."""
+        config = pipeline.ExperimentConfig().with_overrides(
+            {"model.profile": "gradcheck", "model.standardize": False}
+        )
+        config = dataclasses.replace(config, forest=model.config)
+        net, _ = pipeline.build_model(config, "carle", 3)
+        trained = pipeline.TrainedModel(net, model, None, TrainReport(), "carle")
+        pipeline.save_model(path, trained, config)
+
     def test_checkpoint_round_trip_shares_arrays(self, rng, tmp_path):
-        X = rng.normal(size=(40, 5))
+        X = rng.normal(size=(40, 2))
         y = rng.uniform(0, 1, 40)
         model = forest.fit(X, y, ForestConfig(n_trees=12, clamp_unit=True), seed=8)
-        save_checkpoint(tmp_path / "ckpt.npz", CarleNet(3, "toy"), forest=model)
-        loaded = load_checkpoint(tmp_path / "ckpt.npz").forest
-        v1_dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64, np.int64)
-        for name, dtype in zip(Forest.ARRAYS, v1_dtypes):
+        self.save_with_forest(tmp_path / "ckpt.npz", model)
+        loaded = pipeline.load_model(tmp_path / "ckpt.npz").forest
+        dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64, np.int64)
+        for name, dtype in zip(Forest.ARRAYS, dtypes):
             back = getattr(loaded, name)
             assert back.dtype == dtype and np.array_equal(back, getattr(model, name))
-        assert loaded.config == model.config and loaded.n_features == 5
+        assert loaded.config == model.config and loaded.n_features == 2
         assert len(loaded.trees) == 12
         for tree in loaded.trees:
             assert np.shares_memory(tree.feature, loaded.feature)
             assert np.shares_memory(tree.value, loaded.value)
-        Xq = rng.normal(size=(9, 5))
+        Xq = rng.normal(size=(9, 2))
         assert np.array_equal(loaded.predict(Xq), model.predict(Xq))
 
     @staticmethod
@@ -260,9 +273,9 @@ class TestForest:
         model = self.two_trees()
         assert model.validate() is model
         getattr(model, name)[index] = bad
-        save_checkpoint(tmp_path / "ckpt.npz", CarleNet(3, "toy"), forest=model)
+        self.save_with_forest(tmp_path / "ckpt.npz", model)
         with pytest.raises(InputError, match="forest"):
-            load_checkpoint(tmp_path / "ckpt.npz")
+            pipeline.load_model(tmp_path / "ckpt.npz")
 
     @pytest.mark.parametrize(
         "name, bad",
@@ -275,9 +288,9 @@ class TestForest:
     def test_checkpoint_with_bad_array_rejected(self, tmp_path, name, bad):
         model = self.two_trees()
         setattr(model, name, bad)
-        save_checkpoint(tmp_path / "ckpt.npz", CarleNet(3, "toy"), forest=model)
+        self.save_with_forest(tmp_path / "ckpt.npz", model)
         with pytest.raises(InputError, match="forest"):
-            load_checkpoint(tmp_path / "ckpt.npz")
+            pipeline.load_model(tmp_path / "ckpt.npz")
 
     def test_row_permutation_equivariance(self, rng):
         X = rng.normal(size=(30, 3))

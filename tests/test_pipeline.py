@@ -9,6 +9,7 @@ from carle.errors import InputError, ParameterError
 from carle.metrics import MetricReport
 from carle.nn.model import get_profile
 from carle.pipeline import (
+    VARIANTS,
     ExperimentConfig,
     build_sequences,
     crossdomain_predictions,
@@ -250,18 +251,30 @@ class TestTrainModel:
         assert forest_mse <= head_mse + 1e-12
 
     def test_checkpoint_round_trip(self, tmp_path):
-        config = tiny_config()
-        X, y = self._data(config)
-        model = train_model(X, y, config, "carle")
-        path = tmp_path / "ckpt.npz"
-        save_model(path, model, config)
-        again = load_model(path)
-        assert np.allclose(model.predict(X), again.predict(X), rtol=0, atol=0)
-        bundle = load_checkpoint(path)
-        assert bundle.meta["config_hash"] == config.config_hash()
-        assert bundle.meta["has_forest"]
-        assert bundle.meta["param_shapes"]
-        assert "optimizer" in bundle.meta
+        base = tiny_config()
+        X, y = self._data(base)
+        cases = [(variant, base) for variant in VARIANTS]
+        cases.append(("carle", tiny_config(**{"model.standardize": False})))
+        for variant, config in cases:
+            model = train_model(X, y, config, variant)
+            path = tmp_path / f"{variant}-{config.config_hash()}.npz"
+            save_model(path, model, config)
+            again = load_model(path)
+            assert np.array_equal(model.predict(X), again.predict(X)), variant
+            if variant == "carl":
+                assert model.forest is None and again.forest is None
+            else:
+                assert again.forest.config == model.forest.config
+            bundle = load_checkpoint(path)
+            assert set(bundle.meta) == {
+                "magic", "version", "variant", "input_width", "config", "has_forest",
+                "config_hash", "best_epoch", "diverged", "history",
+            }
+            assert bundle.meta["config_hash"] == config.config_hash()
+            assert bundle.meta["has_forest"] == (variant != "carl")
+            assert set(bundle.sections) <= {"nn", "scaler", "forest"}
+            assert ("scaler" in bundle.sections) == config.model.standardize
+            assert ("forest" in bundle.sections) == (variant != "carl")
 
     def test_feature_width_mismatch(self):
         config = tiny_config()
@@ -288,11 +301,12 @@ class TestTrainModel:
         with np.load(path) as data:
             meta = _json.loads(bytes(data["meta"]).decode())
             arrays = {k: data[k] for k in data.files if k != "meta"}
-        meta["version"] = 999
-        bad = tmp_path / "future.npz"
-        np.savez(bad, meta=np.frombuffer(_json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-        with pytest.raises(InputError, match="version"):
-            load_checkpoint(bad)
+        for version in (1, 999):
+            meta["version"] = version
+            bad = tmp_path / f"v{version}.npz"
+            np.savez(bad, meta=np.frombuffer(_json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+            with pytest.raises(InputError, match=f"unsupported checkpoint version {version}"):
+                load_checkpoint(bad)
 
 
 class TestCrossdomain:

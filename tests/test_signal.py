@@ -38,6 +38,10 @@ class TestGaussianKernel:
             GaussianKernel(0.0)
         with pytest.raises(ParameterError):
             GaussianKernel(-1.0)
+        with pytest.raises(ParameterError, match="sigma"):
+            GaussianKernel(np.inf)
+        with pytest.raises(ParameterError, match="sigma"):
+            GaussianKernel(np.nan)
 
 
 class TestGaussianFilter:
@@ -84,6 +88,8 @@ class TestGaussianFilter:
     def test_bad_inputs(self):
         with pytest.raises(ParameterError):
             gaussian_filter(_sig([[1.0, 2.0]]), -0.5)
+        with pytest.raises(ParameterError, match="sigma"):
+            gaussian_filter(_sig([[1.0] * 8]), 2.5)  # radius 10 > 8 samples
         with pytest.raises(InputError):
             MultiChannelSignal(np.empty((1, 0)), 100.0)
 
