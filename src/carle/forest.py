@@ -28,44 +28,71 @@ class ForestConfig:
             raise ParameterError(f"forest.n_trees must be >= 1, got {self.n_trees}")
         if self.min_samples_leaf < 1:
             raise ParameterError(f"forest.min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+        for key in ("max_features", "max_depth"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ParameterError(f"forest.{key} must be >= 1 or null, got {value}")
 
 
 def split_scan(values, targets, min_leaf):
-    """Best variance-reduction split of one feature column sorted ascending,
-    with its targets aligned: (sse, threshold, left_count) minimising
-    SSE_left + SSE_right, or (inf, 0.0, -1) when no split is allowed.
+    """Best variance-reduction split of each row of ``values`` (k, n), every
+    row sorted ascending, with ``targets`` (k, n) aligned: per row the
+    (sse, threshold, left_count) minimising SSE_left + SSE_right, or
+    (inf, 0.0, -1) when the row allows no split. Returns three (k,) arrays;
+    1-D inputs are one row and give one (float, float, int) triple.
 
     Candidate thresholds are midpoints between distinct adjacent values; the
-    lowest-threshold minimum wins.
+    lowest-threshold minimum of a row wins.
     """
-    n = targets.shape[0]
-    if n < 2 * min_leaf:
-        return math.inf, 0.0, -1
-    c1 = np.cumsum(targets)
-    c2 = np.cumsum(targets * targets)
-    tot1 = c1[-1]
-    tot2 = c2[-1]
-    i = np.arange(1, n)  # left-side count at each candidate position
-    valid = (i >= min_leaf) & (n - i >= min_leaf) & (values[:-1] < values[1:])
-    if not valid.any():
-        return math.inf, 0.0, -1
-    s1 = c1[:-1]
-    s2 = c2[:-1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sse = (s2 - s1 * s1 / i) + ((tot2 - s2) - (tot1 - s1) * (tot1 - s1) / (n - i))
-    sse = np.where(valid, sse, math.inf)
-    j = int(np.argmin(sse))  # first minimum = lowest threshold wins
-    return float(sse[j]), 0.5 * (values[j] + values[j + 1]), j + 1
+    one_row = np.ndim(values) == 1
+    values, targets = np.atleast_2d(values, targets)
+    k, n = targets.shape
+    # candidate c puts c + 1 samples left; only c in [lo, hi) leaves at
+    # least min_leaf on each side
+    lo, hi = min_leaf - 1, n - min_leaf
+    if lo >= hi:
+        sse, threshold, left_count = np.full(k, math.inf), np.zeros(k), np.full(k, -1)
+    else:
+        # cumsum adds in order along each row, as a 1-D cumsum of that row does
+        c1 = targets.cumsum(axis=1)
+        c2 = (targets * targets).cumsum(axis=1)
+        s1 = c1[:, lo:hi]
+        s2 = c2[:, lo:hi]
+        r1 = c1[:, -1:] - s1
+        i = np.arange(lo + 1, hi + 1)  # left-side count at each candidate
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cand = (s2 - s1 * s1 / i) + ((c2[:, -1:] - s2) - r1 * r1 / (n - i))
+        valid = values[:, lo:hi] < values[:, lo + 1:hi + 1]
+        cand = np.where(valid, cand, math.inf)
+        j = cand.argmin(axis=1)  # first minimum = lowest threshold wins
+        rows = np.arange(k)
+        sse = cand[rows, j]  # inf where the row has no valid split
+        found = valid.any(axis=1)
+        at = lo + j
+        threshold = np.where(found, 0.5 * (values[rows, at] + values[rows, at + 1]), 0.0)
+        left_count = np.where(found, at + 1, -1)
+    if one_row:
+        return float(sse[0]), float(threshold[0]), int(left_count[0])
+    return sse, threshold, left_count
 
 
 class _ForestBuilder:
     """Grows trees one after another into shared node lists; a tree's child
-    indices count from its own first node."""
+    indices count from its own first node.
+
+    Each tree sorts every feature of its bootstrap sample once (SPRINT's
+    attribute lists, Shafer, Agrawal & Mehta, 1996). A node holds its
+    bootstrap positions in bootstrap order and a (d, n_node) array whose row
+    f lists those positions by ascending feature f. A split filters the rows
+    with a stable mask, which keeps them sorted, so no node sorts again."""
 
     def __init__(self, X, y, config: ForestConfig):
         self.X = X
         self.y = y
         self.config = config
+        d = X.shape[1]
+        n_feats = config.max_features if config.max_features is not None else max(1, math.isqrt(d))
+        self.n_feats = min(n_feats, d)
         self.feature = []
         self.threshold = []
         self.left = []
@@ -75,7 +102,13 @@ class _ForestBuilder:
 
     def add_tree(self, idx, rng):
         self.rng = rng
-        self.grow(idx, 0)
+        # the bootstrap sample, one contiguous row per feature
+        self.xb = np.ascontiguousarray(self.X[idx].T)
+        self.yb = self.y[idx]
+        # a stable sort breaks ties by bootstrap position, as a stable sort
+        # of any node's subsequence does
+        order = np.argsort(self.xb, axis=1, kind="stable")
+        self.grow(np.arange(len(idx)), order, 0)
         self.offsets.append(len(self.feature))
 
     def _new_node(self, mean):
@@ -86,45 +119,43 @@ class _ForestBuilder:
         self.value.append(mean)
         return len(self.feature) - 1 - self.offsets[-1]
 
-    def grow(self, idx, depth) -> int:
-        y = self.y[idx]
-        node = self._new_node(float(y.mean()))
+    def grow(self, pos, order, depth) -> int:
+        y = self.yb[pos]
+        node = self._new_node(float(y.sum() / len(y)))  # bit-equal to y.mean(), faster
         cfg = self.config
-        if len(idx) < 2 * cfg.min_samples_leaf:
+        if len(pos) < 2 * cfg.min_samples_leaf:
             return node
         if cfg.max_depth is not None and depth >= cfg.max_depth:
             return node
         if y.max() == y.min():
             return node
 
-        d = self.X.shape[1]
-        n_feats = cfg.max_features if cfg.max_features is not None else max(1, int(math.isqrt(d)))
-        n_feats = min(n_feats, d)
-        if n_feats < d:
-            feats = self.rng.choice(d, size=n_feats, replace=False)
+        d = len(self.xb)
+        if self.n_feats < d:
+            feats = self.rng.choice(d, size=self.n_feats, replace=False)
+            rows = order[feats]
         else:
-            feats = range(d)
-
-        best_sse = math.inf
-        best_feat = -1
-        best_thr = 0.0
-        for f in feats:
-            col = self.X[idx, f]
-            order = np.argsort(col, kind="stable")
-            sse, thr, pos = split_scan(col[order], y[order], cfg.min_samples_leaf)
-            if pos >= 0 and sse < best_sse:
-                best_sse = sse
-                best_feat = int(f)
-                best_thr = thr
-        if best_feat < 0:
+            feats = np.arange(d)
+            rows = order
+        sse, thr, _ = split_scan(self.xb[feats[:, None], rows], self.yb[rows], cfg.min_samples_leaf)
+        # strict <, as a loop in draw order: the first feature wins a tie,
+        # and an inf or NaN sum never wins
+        r = int(np.argmin(np.where(sse < math.inf, sse, math.inf)))
+        if not sse[r] < math.inf:
             return node
 
-        go_left = self.X[idx, best_feat] <= best_thr
+        f = int(feats[r])
+        go_left = self.xb[f] <= thr[r]  # by bootstrap position
+        pos_left = go_left[pos]
+        order_left = go_left[order]
         at = self.offsets[-1] + node
-        self.feature[at] = best_feat
-        self.threshold[at] = best_thr
-        self.left[at] = self.grow(idx[go_left], depth + 1)
-        self.right[at] = self.grow(idx[~go_left], depth + 1)
+        self.feature[at] = f
+        self.threshold[at] = thr[r]
+        n_left = int(pos_left.sum())
+        self.left[at] = self.grow(pos[pos_left], order[order_left].reshape(d, n_left), depth + 1)
+        self.right[at] = self.grow(
+            pos[~pos_left], order[~order_left].reshape(d, len(pos) - n_left), depth + 1
+        )
         return node
 
     def finish(self, n_features: int) -> "Forest":
@@ -247,6 +278,8 @@ def fit(logits, targets, config: ForestConfig, seed: int = 0) -> Forest:
         raise InputError(f"row mismatch: {len(X)} logit rows vs {len(y)} targets")
     if len(y) < 2:
         raise InputError(f"need at least 2 samples to fit a forest, got {len(y)}")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise InputError("non-finite forest training data: NaN or inf in the logits or targets")
     if config.n_trees is None:
         raise ParameterError("forest.n_trees is unset; the pipeline sets it from the model profile")
     config.validate()

@@ -337,6 +337,14 @@ def _negative_seed_train(root, tmp_path):
     return ["train", "--features", str(root / "feats.csv"), "--set", "seed=-5"]
 
 
+def _train_set(override):
+    """Rows that run train with one out-of-range --set value."""
+    def make_args(root, tmp_path):
+        return ["train", "--features", str(root / "feats.csv"), "--set", override]
+
+    return pytest.param(make_args, id=override)
+
+
 def _unknown_forest_key(root, tmp_path):
     path = tmp_path / "bogus_forest_key.npz"
     with np.load(root / "run" / "checkpoint.npz") as data:
@@ -384,6 +392,8 @@ def _synth_with(flag):
         _extract_set("training.epochs=true"),
         _extract_set("extraction.sigma_g=Infinity"),
         _extract_set("extraction.sigma_g=1e300"),
+        _train_set("forest.max_features=0"),
+        _train_set("forest.max_depth=-1"),
         _synth_with("--seed=-1"),
         _synth_with("--set=synth.burst_rate_hz=0"),
         _synth_with("--set=synth.burst_rate_hz=-1"),

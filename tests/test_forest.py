@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -87,6 +88,76 @@ def test_split_scan_no_split_on_constant_feature(rng):
     sse, _, pos = forest.split_scan(v, t, 1)
     assert pos == -1
     assert sse == np.inf
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 3, 6])
+def test_split_scan_rows_match_one_row_calls(rng, min_leaf):
+    n = 10
+    values = np.sort(rng.normal(size=(7, n)), axis=1)
+    values[1] = 2.0  # constant: no split
+    values[2] = np.round(values[2])  # ties
+    values[3, : n - 1] = 0.0  # one boundary, too near the end for min_leaf >= 2
+    values[4, 1:] = 1.0  # one boundary, too near the start for min_leaf >= 2
+    targets = rng.normal(size=(7, n))
+    targets[5] = 0.25  # constant targets
+    sse, thr, count = forest.split_scan(values, targets, min_leaf)
+    assert sse.shape == thr.shape == count.shape == (7,)
+    for row in range(7):
+        one = forest.split_scan(values[row], targets[row], min_leaf)
+        assert (sse[row], thr[row], count[row]) == one
+    if min_leaf == 6:  # n < 2 * min_leaf: no row may split
+        assert (count == -1).all() and (sse == np.inf).all() and (thr == 0.0).all()
+    else:
+        assert count[1] == -1 and count[0] > 0
+
+
+def _pin_data(kind):
+    rng = np.random.default_rng(2024)
+    X = rng.normal(size=(48, 6))
+    y = rng.uniform(0, 1, 48)
+    if kind == "tied":
+        X = np.round(X, 1)
+        X[:, 0] = np.floor(X[:, 0])
+        X[:, 1] = 0.5
+        y = np.round(y, 1)
+    elif kind == "wide":
+        X = rng.normal(size=(96, 32))
+        y = rng.uniform(0, 1, 96)
+    elif kind == "dup":  # every row three times
+        X = np.concatenate([X[:16]] * 3)
+        y = np.concatenate([y[:16]] * 3)
+    return X, y
+
+
+@pytest.mark.parametrize(
+    "kind, options, seed, nodes, digest",
+    [
+        ("plain", {}, 0, 224, "fdc88648809622ba"),
+        ("plain", {}, 1, 216, "45df5436bdabee56"),
+        ("plain", {}, 2, 216, "490288d49bc01fdb"),
+        ("plain", {}, 3, 222, "77ea7c804c921fe5"),
+        ("plain", {"max_features": 6, "min_samples_leaf": 1}, 0, 354, "1ca76e5ea95a04f0"),
+        ("plain", {"max_features": 1}, 1, 208, "722aa02ca5b8ed0f"),
+        ("plain", {"bootstrap": False, "max_features": 3}, 2, 248, "80d69bb7eae9ae6f"),
+        ("plain", {"max_depth": 3}, 3, 78, "6d491462ef194c54"),
+        ("tied", {"min_samples_leaf": 1}, 0, 306, "68fe3c13d7223437"),
+        ("tied", {"max_features": 6}, 1, 194, "4af6abf3094a8ad5"),
+        ("dup", {"min_samples_leaf": 1}, 0, 178, "9d6bbadae4796ca0"),
+        ("dup", {"bootstrap": False, "max_features": 6, "min_samples_leaf": 1}, 1, 186, "8720d6356072328e"),
+        ("wide", {}, 4, 434, "8cec5c47b018b9e9"),
+    ],
+)
+def test_forest_bytes_pinned(kind, options, seed, nodes, digest):
+    """SHA-256 prefixes of the forest arrays, recorded from the per-node
+    argsort builder that presorted growth replaced: any change to split
+    choice, tie order, rng draws or leaf means shows here."""
+    X, y = _pin_data(kind)
+    model = forest.fit(X, y, ForestConfig(n_trees=6, **options), seed=seed)
+    h = hashlib.sha256()
+    for name in Forest.ARRAYS:
+        h.update(getattr(model, name).tobytes())
+    assert len(model.feature) == nodes
+    assert h.hexdigest()[:16] == digest
 
 
 class TestTreeOracle:
@@ -344,3 +415,18 @@ class TestForest:
             forest.fit(X[:1], y[:1], ForestConfig(n_trees=2), seed=0)
         with pytest.raises(InputError):
             forest.fit(X, y[:5], ForestConfig(n_trees=2), seed=0)
+        for key, bad in (("max_features", 0), ("max_depth", -1), ("max_depth", 0)):
+            with pytest.raises(ParameterError, match=f"forest.{key}"):
+                forest.fit(X, y, ForestConfig(n_trees=2, **{key: bad}), seed=0)
+
+    @pytest.mark.parametrize("where", ["logits", "targets"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_data_rejected(self, rng, where, bad):
+        X = rng.normal(size=(20, 3))
+        y = rng.uniform(0, 1, 20)
+        if where == "logits":
+            X[7, 2] = bad
+        else:
+            y[7] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            forest.fit(X, y, ForestConfig(n_trees=3), seed=0)
