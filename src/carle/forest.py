@@ -41,8 +41,9 @@ def split_scan(values, targets, min_leaf):
     (inf, 0.0, -1) when the row allows no split. Returns three (k,) arrays;
     1-D inputs are one row and give one (float, float, int) triple.
 
-    Candidate thresholds are midpoints between distinct adjacent values; the
-    lowest-threshold minimum of a row wins.
+    Candidate thresholds are midpoints between distinct adjacent values a < b,
+    or a itself where the midpoint rounds to b; the lowest-threshold minimum
+    of a row wins.
     """
     one_row = np.ndim(values) == 1
     values, targets = np.atleast_2d(values, targets)
@@ -69,7 +70,11 @@ def split_scan(values, targets, min_leaf):
         sse = cand[rows, j]  # inf where the row has no valid split
         found = valid.any(axis=1)
         at = lo + j
-        threshold = np.where(found, 0.5 * (values[rows, at] + values[rows, at + 1]), 0.0)
+        a, b = values[rows, at], values[rows, at + 1]
+        # the midpoint of neighbouring doubles can round up to b, and a
+        # threshold of b would send the whole node left; a splits alike
+        mid = 0.5 * (a + b)
+        threshold = np.where(found, np.where(mid < b, mid, a), 0.0)
         left_count = np.where(found, at + 1, -1)
     if one_row:
         return float(sse[0]), float(threshold[0]), int(left_count[0])

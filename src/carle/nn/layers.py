@@ -14,7 +14,8 @@ from ..errors import ParameterError
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+    # maximum/minimum give np.clip's values (NaN included) at less call overhead
+    return 1.0 / (1.0 + np.exp(-np.maximum(np.minimum(z, 60.0), -60.0)))
 
 
 def _softmax(z):
@@ -84,7 +85,9 @@ class Dense(Layer):
 
 
 class Conv1d(Layer):
-    """Same-padded 1-D convolution along the time axis."""
+    """Same-padded 1-D convolution along the time axis. The output, the
+    weight gradient and the input gradient are one GEMM each over im2col
+    columns (Chellapilla, Puri & Simard, 2006)."""
 
     def __init__(self, c_in, filters, kernel_size, rng, name, l2=0.0, bias=True):
         super().__init__()
@@ -92,37 +95,54 @@ class Conv1d(Layer):
         self.kernel_size = kernel_size
         self.l2 = l2
         self.pad_left = (kernel_size - 1) // 2
-        self.pad_right = kernel_size - 1 - self.pad_left
         self.params["W"] = _fan_in_uniform(rng, (kernel_size, c_in, filters), kernel_size * c_in)
         if bias:
             self.params["b"] = np.zeros(filters)
         self.zero_grads()
 
+    def _taps(self, t):
+        """(tap, source offset, first and end output step) of each kernel tap
+        that reads inside a length-t sequence: output step s of tap d reads
+        input step s + offset, and the zero padding elsewhere adds nothing."""
+        for d in range(self.kernel_size):
+            shift = d - self.pad_left
+            lo, hi = max(0, -shift), min(t, t - shift)
+            if lo < hi:
+                yield d, shift, lo, hi
+
+    def _columns(self, x):
+        """(b*t, k*c) im2col matrix: row (batch, step) holds the k taps' inputs
+        at that step, tap-major, matching W.reshape(k*c, filters)."""
+        b, t, c = x.shape
+        cols = np.zeros((b, t, self.kernel_size, c))
+        for d, shift, lo, hi in self._taps(t):
+            cols[:, lo:hi, d, :] = x[:, lo + shift:hi + shift, :]
+        return cols.reshape(b * t, -1)
+
     def forward(self, x):
+        # keep only the input; the columns are k times its size, and
+        # backward rebuilds them
+        self._x = x
         b, t, _ = x.shape
-        xp = np.pad(x, ((0, 0), (self.pad_left, self.pad_right), (0, 0)))
-        self._xp = xp
-        self._t = t
-        n_filters = self.params["W"].shape[2]
-        out = np.zeros((b, t, n_filters))
+        W = self.params["W"]
+        out = self._columns(x) @ W.reshape(-1, W.shape[2])
         if "b" in self.params:
             out += self.params["b"]
-        for d in range(self.kernel_size):
-            out += xp[:, d:d + t, :] @ self.params["W"][d]
-        return out
+        return out.reshape(b, t, -1)
 
     def backward(self, dout):
-        t = self._t
-        dxp = np.zeros_like(self._xp)
-        for d in range(self.kernel_size):
-            seg = self._xp[:, d:d + t, :]
-            self.grads["W"][d] += np.einsum("btc,btf->cf", seg, dout)
-            dxp[:, d:d + t, :] += dout @ self.params["W"][d].T
+        x = self._x
+        b, t, c = x.shape
+        W = self.params["W"]
+        dout2 = dout.reshape(b * t, -1)
+        self.grads["W"] += (self._columns(x).T @ dout2).reshape(W.shape)
         if "b" in self.params:
-            self.grads["b"] += dout.sum(axis=(0, 1))
-        if self.pad_right:
-            return dxp[:, self.pad_left:-self.pad_right, :]
-        return dxp[:, self.pad_left:, :]
+            self.grads["b"] += dout2.sum(axis=0)
+        dcols = (dout2 @ W.reshape(-1, W.shape[2]).T).reshape(b, t, self.kernel_size, c)
+        dx = np.zeros_like(x)
+        for d, shift, lo, hi in self._taps(t):
+            dx[:, lo + shift:hi + shift, :] += dcols[:, lo:hi, d, :]
+        return dx
 
     def reg_loss(self) -> float:
         return 0.5 * self.l2 * float(np.sum(self.params["W"] ** 2))
@@ -132,7 +152,7 @@ class Conv1d(Layer):
             self.grads["W"] += self.l2 * self.params["W"]
 
     def clear_cache(self):
-        self._xp = None
+        self._x = None
 
 
 class Lstm(Layer):
@@ -157,68 +177,68 @@ class Lstm(Layer):
         u = self.units
         h = np.zeros((b, u))
         c = np.zeros((b, u))
-        cache = {"x": x, "g": [], "i": [], "f": [], "o": [], "c": [], "tanh_c": [], "h_prev": [], "c_prev": []}
+        cache = {"x": x, "g": [], "gates": [], "c": [], "tanh_c": []}
         out = np.empty((b, t, u))
         for step in range(t):
             z = x[:, step, :] @ self.params["Wx"] + h @ self.params["Wh"] + self.params["b"]
             g = np.tanh(z[:, :u])
-            i = _sigmoid(z[:, u:2 * u])
-            f = _sigmoid(z[:, 2 * u:3 * u])
-            o = _sigmoid(z[:, 3 * u:])
-            cache["h_prev"].append(h)
-            cache["c_prev"].append(c)
+            gates = _sigmoid(z[:, u:])  # input, forget and output gates side by side
+            i, f, o = gates[:, :u], gates[:, u:2 * u], gates[:, 2 * u:]
             c = g * i + c * f
             tanh_c = np.tanh(c)
             h = o * tanh_c
-            for key, val in (("g", g), ("i", i), ("f", f), ("o", o), ("c", c), ("tanh_c", tanh_c)):
+            for key, val in (("g", g), ("gates", gates), ("c", c), ("tanh_c", tanh_c)):
                 cache[key].append(val)
             out[:, step, :] = h
+        cache["h"] = out
         self._cache = cache
         return out
 
     def backward(self, dout):
+        """The step loop carries dh and dc back through time and stores each
+        step's pre-activation gradient; the weight and input gradients are
+        then one GEMM each over all steps."""
         cache = self._cache
         x = cache["x"]
         b, t, d_in = x.shape
         u = self.units
-        dx = np.empty_like(x)
+        Wh = self.params["Wh"]
+        dz = np.empty((b, t, 4 * u))
         dh_next = np.zeros((b, u))
         dc_next = np.zeros((b, u))
         for step in range(t - 1, -1, -1):
             g = cache["g"][step]
-            i = cache["i"][step]
-            f = cache["f"][step]
-            o = cache["o"][step]
+            gates = cache["gates"][step]
+            i, f, o = gates[:, :u], gates[:, u:2 * u], gates[:, 2 * u:]
             tanh_c = cache["tanh_c"][step]
+            c_prev = cache["c"][step - 1] if step else 0.0
             dh = dout[:, step, :] + dh_next
-            do = dh * tanh_c
             dc = dc_next + dh * o * (1.0 - tanh_c**2)
-            dg = dc * i
-            di = dc * g
-            df = dc * cache["c_prev"][step]
             dc_next = dc * f
-            dz = np.concatenate(
-                [
-                    dg * (1.0 - g**2),
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            self.grads["Wx"] += x[:, step, :].T @ dz
-            self.grads["Wh"] += cache["h_prev"][step].T @ dz
-            self.grads["b"] += dz.sum(axis=0)
-            dx[:, step, :] = dz @ self.params["Wx"].T
-            dh_next = dz @ self.params["Wh"].T
-        return dx
+            dz_t = np.empty((b, 4 * u))
+            np.multiply(dc * i, 1.0 - g**2, out=dz_t[:, :u])
+            np.multiply(dc, g, out=dz_t[:, u:2 * u])
+            np.multiply(dc, c_prev, out=dz_t[:, 2 * u:3 * u])
+            np.multiply(dh, tanh_c, out=dz_t[:, 3 * u:])
+            dz_t[:, u:] *= gates * (1.0 - gates)
+            dz[:, step, :] = dz_t
+            dh_next = dz_t @ Wh.T
+        h_prev = np.zeros((b, t, u))
+        h_prev[:, 1:, :] = cache["h"][:, :-1, :]
+        dz2 = dz.reshape(b * t, 4 * u)
+        self.grads["Wx"] += x.reshape(b * t, d_in).T @ dz2
+        self.grads["Wh"] += h_prev.reshape(b * t, u).T @ dz2
+        self.grads["b"] += dz2.sum(axis=0)
+        return (dz2 @ self.params["Wx"].T).reshape(b, t, d_in)
 
     def gate_ranges(self):
         """Min/max of each gate over the last forward pass, for invariants."""
-        c = self._cache
-        stats = {}
-        for key in ("g", "i", "f", "o"):
-            arr = np.stack(c[key])
+        u = self.units
+        g = np.stack(self._cache["g"])
+        gates = np.stack(self._cache["gates"])
+        stats = {"g": (float(g.min()), float(g.max()))}
+        for j, key in enumerate(("i", "f", "o")):
+            arr = gates[..., j * u:(j + 1) * u]
             stats[key] = (float(arr.min()), float(arr.max()))
         return stats
 

@@ -111,6 +111,20 @@ def test_split_scan_rows_match_one_row_calls(rng, min_leaf):
         assert count[1] == -1 and count[0] > 0
 
 
+def test_adjacent_doubles_split_below_the_upper_value():
+    # 0.5 * (a + b) rounds up to b for these neighbours; a threshold of b
+    # would send both rows left and the builder would recurse without end
+    a = 1.0 + np.finfo(float).eps
+    b = np.nextafter(a, 2.0)
+    assert 0.5 * (a + b) == b
+    _, thr, count = forest.split_scan(np.array([a, b]), np.array([0.0, 1.0]), 1)
+    assert (thr, count) == (a, 1)
+    cfg = ForestConfig(n_trees=1, min_samples_leaf=1, bootstrap=False)
+    model = forest.fit(np.array([[a], [b]]), np.array([0.0, 1.0]), cfg, seed=0)
+    assert model.threshold[0] == a
+    assert model.predict(np.array([[a], [b]])).tolist() == [0.0, 1.0]
+
+
 def _pin_data(kind):
     rng = np.random.default_rng(2024)
     X = rng.normal(size=(48, 6))

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from carle.errors import ParameterError
-from carle.nn.layers import Conv1d, Dense, Flatten, Lstm, MultiHeadAttention
-from carle.nn.model import ResCnnUnit
+from carle.nn.layers import Conv1d, Dense, Flatten, Lstm, MultiHeadAttention, _sigmoid
+from carle.nn.model import CarleNet, ResCnnUnit, get_profile
 from conftest import jiggle_biases, layer_gradcheck
 
 TOL = 1e-4
@@ -55,6 +57,70 @@ class TestConv1d:
         assert layer.reg_loss() == pytest.approx(0.5 * lam * np.sum(layer.params["W"] ** 2))
 
 
+def conv1d_reference(x, W, bias, dout):
+    """Per-tap same-padded convolution: forward, dW, db and dx."""
+    k, t = W.shape[0], x.shape[1]
+    pad_left = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (pad_left, k - 1 - pad_left), (0, 0)))
+    out = np.zeros((x.shape[0], t, W.shape[2]))
+    if bias is not None:
+        out += bias
+    dW = np.zeros_like(W)
+    dxp = np.zeros_like(xp)
+    for d in range(k):
+        seg = xp[:, d:d + t, :]
+        out += seg @ W[d]
+        dW[d] = np.einsum("btc,btf->cf", seg, dout)
+        dxp[:, d:d + t, :] += dout @ W[d].T
+    return out, dW, dout.sum(axis=(0, 1)), dxp[:, pad_left:pad_left + t, :]
+
+
+def _assert_close(actual, expected):
+    # rtol 1e-12 elementwise, with an absolute floor at that fraction of the
+    # largest entry for entries that cancel to near zero
+    scale = np.max(np.abs(expected))
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+_CONV_CASES = [(k, t) for k in (1, 2, 3, 4) for t in sorted({1, k - 1, 8}) if t >= 1]
+
+
+class TestConv1dReference:
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("kernel, steps", _CONV_CASES)
+    def test_matches_per_tap_formula(self, rng, kernel, steps, batch, bias):
+        layer = Conv1d(3, 4, kernel, rng, "c", bias=bias)
+        if bias:
+            jiggle_biases(layer, rng)
+        x = rng.normal(size=(batch, steps, 3))
+        dout = rng.normal(size=(batch, steps, 4))
+        ref = conv1d_reference(x, layer.params["W"], layer.params.get("b"), dout)
+        out = layer.forward(x)
+        dx = layer.backward(dout)
+        _assert_close(out, ref[0])
+        _assert_close(layer.grads["W"], ref[1])
+        if bias:
+            _assert_close(layer.grads["b"], ref[2])
+        _assert_close(dx, ref[3])
+
+    def test_pronostia_net_with_one_step_sequences(self, rng):
+        # every kernel is wider than the sequence, so only centre taps read data
+        profile = dataclasses.replace(get_profile("pronostia"), seq_len=1)
+        net = CarleNet(14, profile, seed=0)
+        x = rng.normal(size=(3, 1, 14))
+        net.zero_grads()
+        logits, pred = net.forward(x)
+        dx = net.backward(dpred=np.ones(3))
+        assert logits.shape == (3, 32) and pred.shape == (3,)
+        assert dx.shape == x.shape and np.isfinite(dx).all()
+        assert all(np.isfinite(g).all() for _, g in net.gradients())
+        first = net.cnn_units[0].convs[0]
+        assert np.abs(first.grads["W"][first.pad_left]).sum() > 0
+        others = np.delete(first.grads["W"], first.pad_left, axis=0)
+        assert not others.any()
+
+
 class TestLstm:
     def test_gradcheck(self, rng):
         layer = Lstm(3, 4, rng, "l")
@@ -74,6 +140,29 @@ class TestLstm:
         lo, hi = stats["g"]
         assert -1.0 < lo and hi < 1.0
 
+
+    def test_gate_ranges_report_each_gate(self, rng):
+        # recompute every gate of every step from the layer's own hidden states
+        layer = Lstm(3, 5, rng, "l")
+        jiggle_biases(layer, rng, scale=1.0)
+        x = rng.normal(size=(4, 6, 3))
+        out = layer.forward(x)
+        p = layer.params
+        u = 5
+        h = np.zeros((4, u))
+        seen = {key: [] for key in "gifo"}
+        for step in range(6):
+            z = x[:, step, :] @ p["Wx"] + h @ p["Wh"] + p["b"]
+            seen["g"].append(np.tanh(z[:, :u]))
+            for j, key in enumerate("ifo", start=1):
+                seen[key].append(1.0 / (1.0 + np.exp(-np.clip(z[:, j * u:(j + 1) * u], -60.0, 60.0))))
+            h = out[:, step, :]
+        stats = layer.gate_ranges()
+        assert set(stats) == set("gifo")
+        for key, arrs in seen.items():
+            arr = np.stack(arrs)
+            assert stats[key] == (float(arr.min()), float(arr.max()))
+
     def test_output_shape_full_sequence(self, rng):
         layer = Lstm(3, 7, rng, "l")
         out = layer.forward(rng.normal(size=(2, 5, 3)))
@@ -85,6 +174,23 @@ class TestLstm:
         assert layer._cache is not None
         layer.clear_cache()
         assert layer._cache is None
+
+
+def test_sigmoid_matches_clipped_formula_bit_for_bit(rng):
+    big = np.finfo(float).max
+    edges = []
+    for v in (60.0, -60.0):
+        edges += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
+    specials = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, big, -big, 700.0, -745.0]
+    z = np.concatenate([edges, specials, rng.normal(scale=30.0, size=200)])
+    ref = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+    got = _sigmoid(z)
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    keep = ~np.isnan(ref)
+    assert np.array_equal(got[keep].view(np.uint64), ref[keep].view(np.uint64))
+    # the forward pass applies it to a strided view of the fused gates
+    z2 = z[:204].reshape(12, 17)[:, 2:]
+    assert np.array_equal(_sigmoid(z2), 1.0 / (1.0 + np.exp(-np.clip(z2, -60.0, 60.0))), equal_nan=True)
 
 
 class TestMultiHeadAttention:
