@@ -41,6 +41,22 @@ class Scaler:
         std = np.where(constant, np.inf, std)
         return cls(X.mean(axis=0), std, clip)
 
+    def validate(self, width: int) -> "Scaler":
+        """Check statistics read from outside; raise InputError unless mean
+        and std are real (width,) vectors, mean is finite and std is > 0
+        (inf marks a feature that was constant at fit time)."""
+        for name in ("mean", "std"):
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "fiu" or arr.shape != (width,):
+                raise InputError(
+                    f"scaler {name} must be {width} real numbers, got {arr.dtype} {arr.shape}"
+                )
+        if not np.isfinite(self.mean).all():
+            raise InputError("scaler mean has a non-finite value")
+        if not (self.std > 0).all():
+            raise InputError("scaler std must be > 0 (inf for a constant feature)")
+        return self
+
     def transform(self, X) -> np.ndarray:
         z = (np.asarray(X, dtype=np.float64) - self.mean) / self.std
         return np.clip(z, -self.clip, self.clip)

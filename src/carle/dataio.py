@@ -74,28 +74,33 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def write_signal_csv(path, signal: MultiChannelSignal, config_hash: str = ""):
+def _write_csv(path, header, rows, config_hash: str, line_end: str = "\r\n"):
+    """Write ``header`` and then ``rows`` with the csv module, after a
+    ``# config_hash=`` comment line when a hash is given."""
     with open(path, "w", newline="") as fh:
         if config_hash:
             fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"ch{i + 1}" for i in range(signal.channel_count)])
-        t = np.arange(signal.length) / signal.sample_rate_hz
-        for i in range(signal.length):
-            writer.writerow([repr(float(t[i]))] + [repr(float(v)) for v in signal.channels[:, i]])
+        writer = csv.writer(fh, lineterminator=line_end)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_signal_csv(path, signal: MultiChannelSignal, config_hash: str = ""):
+    t = np.arange(signal.length) / signal.sample_rate_hz
+    header = ["t"] + [f"ch{i + 1}" for i in range(signal.channel_count)]
+    rows = (
+        [repr(float(t[i]))] + [repr(float(v)) for v in signal.channels[:, i]]
+        for i in range(signal.length)
+    )
+    _write_csv(path, header, rows, config_hash)
 
 
 def write_features_csv(path, matrix, names, window_index=None, config_hash: str = ""):
     matrix = np.atleast_2d(matrix)
     if window_index is None:
         window_index = np.arange(len(matrix))
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["window_index"] + list(names))
-        for idx, row in zip(window_index, matrix):
-            writer.writerow([int(idx)] + [repr(float(v)) for v in row])
+    rows = ([int(idx)] + [repr(float(v)) for v in row] for idx, row in zip(window_index, matrix))
+    _write_csv(path, ["window_index"] + list(names), rows, config_hash)
 
 
 def read_features_csv(path):
@@ -123,12 +128,8 @@ def read_features_csv(path):
 
 
 def write_labels_csv(path, values, config_hash: str = ""):
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write("rul\n")
-        for v in np.asarray(values).ravel():
-            fh.write(f"{float(v)!r}\n")
+    rows = ([repr(float(v))] for v in np.asarray(values).ravel())
+    _write_csv(path, ["rul"], rows, config_hash, line_end="\n")
 
 
 def read_labels_csv(path) -> np.ndarray:
@@ -147,25 +148,18 @@ def read_labels_csv(path) -> np.ndarray:
 
 
 def write_predictions_csv(path, window_index, y_true, y_pred, config_hash: str = ""):
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["window_index", "y_true", "y_pred"])
-        for i, yt, yp in zip(window_index, y_true, y_pred):
-            writer.writerow([int(i), repr(float(yt)), repr(float(yp))])
+    rows = (
+        [int(i), repr(float(yt)), repr(float(yp))] for i, yt, yp in zip(window_index, y_true, y_pred)
+    )
+    _write_csv(path, ["window_index", "y_true", "y_pred"], rows, config_hash)
 
 
 def write_history_csv(path, history: dict, config_hash: str = ""):
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "mae", "lr"])
-        for e, (loss, mae, lr) in enumerate(
-            zip(history["loss"], history["mae"], history["lr"])
-        ):
-            writer.writerow([e, repr(float(loss)), repr(float(mae)), repr(float(lr))])
+    rows = (
+        [e, repr(float(loss)), repr(float(mae)), repr(float(lr))]
+        for e, (loss, mae, lr) in enumerate(zip(history["loss"], history["mae"], history["lr"]))
+    )
+    _write_csv(path, ["epoch", "loss", "mae", "lr"], rows, config_hash)
 
 
 def write_metrics_json(path, payload: dict, config_hash: str = ""):
@@ -178,13 +172,8 @@ def write_metrics_json(path, payload: dict, config_hash: str = ""):
 
 
 def write_snr_csv(path, pairs, config_hash: str = ""):
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "snr_db"])
-        for sigma, snr in pairs:
-            writer.writerow([repr(float(sigma)), repr(float(snr))])
+    rows = ([repr(float(sigma)), repr(float(snr))] for sigma, snr in pairs)
+    _write_csv(path, ["sigma", "snr_db"], rows, config_hash)
 
 
 def ensure_dir(path) -> Path:

@@ -36,9 +36,13 @@ class Layer:
         self.params = {}
         self.grads = {}
 
+    def _init_grads(self):
+        self.grads = {key: np.zeros_like(p) for key, p in self.params.items()}
+
     def zero_grads(self):
-        for key, p in self.params.items():
-            self.grads[key] = np.zeros_like(p)
+        # in place: the arrays may be views of a network's flat gradient vector
+        for g in self.grads.values():
+            g.fill(0.0)
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -57,7 +61,7 @@ class Dense(Layer):
         self.params["W"] = _fan_in_uniform(rng, (d_in, d_out), d_in)
         if bias:
             self.params["b"] = np.zeros(d_out)
-        self.zero_grads()
+        self._init_grads()
 
     def forward(self, x):
         self._x = x
@@ -98,7 +102,7 @@ class Conv1d(Layer):
         self.params["W"] = _fan_in_uniform(rng, (kernel_size, c_in, filters), kernel_size * c_in)
         if bias:
             self.params["b"] = np.zeros(filters)
-        self.zero_grads()
+        self._init_grads()
 
     def _taps(self, t):
         """(tap, source offset, first and end output step) of each kernel tap
@@ -170,7 +174,7 @@ class Lstm(Layer):
         self.params["Wx"] = _fan_in_uniform(rng, (d_in, 4 * units), d_in)
         self.params["Wh"] = _fan_in_uniform(rng, (units, 4 * units), units)
         self.params["b"] = np.zeros(4 * units)
-        self.zero_grads()
+        self._init_grads()
 
     def forward(self, x):
         b, t, _ = x.shape
@@ -250,7 +254,9 @@ class MultiHeadAttention(Layer):
     """Scaled dot-product attention over time positions, multiple heads.
 
     Projections map input width to model_dim (split across heads) and back,
-    so the output width equals the input width.
+    so the output width equals the input width. The key projection has no
+    bias: it would add the same q . bk to every score of a query row, which
+    the softmax cancels, so it could never learn.
     """
 
     def __init__(self, d_in, heads, model_dim, rng, name):
@@ -263,10 +269,11 @@ class MultiHeadAttention(Layer):
         self.model_dim = model_dim
         for key in ("Wq", "Wk", "Wv"):
             self.params[key] = _fan_in_uniform(rng, (d_in, model_dim), d_in)
-            self.params[key.replace("W", "b")] = np.zeros(model_dim)
+            if key != "Wk":
+                self.params[key.replace("W", "b")] = np.zeros(model_dim)
         self.params["Wo"] = _fan_in_uniform(rng, (model_dim, d_in), model_dim)
         self.params["bo"] = np.zeros(d_in)
-        self.zero_grads()
+        self._init_grads()
 
     def _split(self, z, b, t):
         return z.reshape(b, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
@@ -277,7 +284,7 @@ class MultiHeadAttention(Layer):
     def forward(self, x):
         b, t, _ = x.shape
         q = self._split(x @ self.params["Wq"] + self.params["bq"], b, t)
-        k = self._split(x @ self.params["Wk"] + self.params["bk"], b, t)
+        k = self._split(x @ self.params["Wk"], b, t)
         v = self._split(x @ self.params["Wv"] + self.params["bv"], b, t)
         scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.head_dim)
         attn = _softmax(scores)
@@ -306,7 +313,8 @@ class MultiHeadAttention(Layer):
         for key, grad in (("Wq", dq), ("Wk", dk), ("Wv", dv)):
             g2 = self._merge(grad, b, t).reshape(-1, m)
             self.grads[key] += x2.T @ g2
-            self.grads[key.replace("W", "b")] += g2.sum(axis=0)
+            if key != "Wk":
+                self.grads[key.replace("W", "b")] += g2.sum(axis=0)
             dx += g2.reshape(b, t, m) @ self.params[key].T
         return dx
 

@@ -196,6 +196,20 @@ class CarleNet:
             d_flat = units
         self.head = Dense(d_flat, 1, rng, "head")
 
+        # The net owns its parameter storage: every layer's params and grads
+        # become views of one weight and one gradient vector (a flat
+        # parameter, as in FSDP; Zhao et al., 2023), so the optimiser,
+        # zeroing and snapshots each act on one array.
+        self.flat_params = np.concatenate([arr.ravel() for _, arr in self.parameters()])
+        self.flat_grads = np.zeros_like(self.flat_params)
+        offset = 0
+        for layer in self._layers():
+            for key, arr in layer.params.items():
+                end = offset + arr.size
+                layer.params[key] = self.flat_params[offset:end].reshape(arr.shape)
+                layer.grads[key] = self.flat_grads[offset:end].reshape(arr.shape)
+                offset = end
+
     # -- plumbing ----------------------------------------------------------
 
     def _layers(self):
@@ -231,8 +245,7 @@ class CarleNet:
         return out
 
     def zero_grads(self):
-        for layer in self._layers():
-            layer.zero_grads()
+        self.flat_grads.fill(0.0)
 
     def parameter_count(self) -> int:
         return sum(arr.size for _, arr in self.parameters())
@@ -243,10 +256,13 @@ class CarleNet:
     def residual_param_count(self) -> int:
         return sum(arr.size for name, arr in self.parameters() if ".proj." in name)
 
-    def get_weights(self) -> dict:
-        return {name: arr.copy() for name, arr in self.parameters()}
+    def get_weights(self) -> np.ndarray:
+        """A copy of the flat weight vector, to assign back to flat_params."""
+        return self.flat_params.copy()
 
     def set_weights(self, weights: dict):
+        """Copy named arrays (names as in parameters()) into the weights, each
+        checked first; names the net does not have are ignored."""
         for name, arr in self.parameters():
             if name not in weights:
                 raise InputError(f"checkpoint is missing parameter {name}")
@@ -255,6 +271,10 @@ class CarleNet:
                 raise InputError(
                     f"shape mismatch for {name}: expected {arr.shape}, got {src.shape}"
                 )
+            if src.dtype.kind not in "fiu":
+                raise InputError(f"parameter {name} is not real numbers (dtype {src.dtype})")
+            if not np.isfinite(src).all():
+                raise InputError(f"parameter {name} has a non-finite value")
             arr[...] = src
 
     def reset_states(self):

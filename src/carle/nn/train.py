@@ -44,22 +44,20 @@ class TrainConfig:
 
 
 class RmsProp:
-    """Per-parameter squared-gradient accumulator: w -= lr * g / sqrt(E[g^2] + eps)."""
+    """Squared-gradient accumulator over a flat weight vector:
+    w -= lr * g / sqrt(E[g^2] + eps), elementwise."""
 
-    def __init__(self, params, learning_rate, decay=0.9, epsilon=1e-8):
+    def __init__(self, size, learning_rate, decay=0.9, epsilon=1e-8):
         self.learning_rate = learning_rate
         self.decay = decay
         self.epsilon = epsilon
-        self.accum = {name: np.zeros_like(arr) for name, arr in params}
+        self.accum = np.zeros(size)
 
-    def step(self, params, grads):
-        grads = dict(grads)
-        for name, p in params:
-            g = grads[name]
-            acc = self.accum[name]
-            acc *= self.decay
-            acc += (1.0 - self.decay) * g * g
-            p -= self.learning_rate * g / np.sqrt(acc + self.epsilon)
+    def step(self, p, g):
+        acc = self.accum
+        acc *= self.decay
+        acc += (1.0 - self.decay) * g * g
+        p -= self.learning_rate * g / np.sqrt(acc + self.epsilon)
 
 
 @dataclass
@@ -114,7 +112,7 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
     X_mon = X[val_idx] if val_idx is not None else X_train
     y_mon = y[val_idx] if val_idx is not None else y_train
 
-    opt = RmsProp(net.parameters(), config.learning_rate, config.decay, config.epsilon)
+    opt = RmsProp(net.flat_params.size, config.learning_rate, config.decay, config.epsilon)
     report = TrainReport()
     best_weights = net.get_weights()
     epochs_since_best = 0
@@ -136,7 +134,7 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
                 report.diverged = True
                 aborted = True
                 break
-            opt.step(net.parameters(), net.gradients())
+            opt.step(net.flat_params, net.flat_grads)
         if aborted:
             break
         net.reset_states()
@@ -163,5 +161,5 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
                 report.stopped_epoch = epoch
                 break
 
-    net.set_weights(best_weights)
+    net.flat_params[...] = best_weights
     return report

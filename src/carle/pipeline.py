@@ -342,7 +342,7 @@ def save_model(path, model: TrainedModel, config: ExperimentConfig):
 
 def load_model(path) -> TrainedModel:
     """The model of a checkpoint, built by build_model from the stored config
-    and variant; the forest is checked before it is used."""
+    and variant; the weights, scaler and forest are checked before use."""
     bundle = load_checkpoint(path)
     meta, sections = bundle.meta, bundle.sections
     try:
@@ -351,7 +351,9 @@ def load_model(path) -> TrainedModel:
         net.set_weights(sections["nn"])
         scaler = None
         if config.model.standardize:
-            scaler = Scaler(sections["scaler"]["mean"], sections["scaler"]["std"], config.model.z_clip)
+            scaler = Scaler(
+                sections["scaler"]["mean"], sections["scaler"]["std"], config.model.z_clip
+            ).validate(net.input_width)
         forest = None
         if forest_config is not None:
             arrays = {name: sections["forest"][name] for name in forest_mod.Forest.ARRAYS}
@@ -359,7 +361,7 @@ def load_model(path) -> TrainedModel:
                 **arrays, n_features=net.profile.linear_units[-1], config=forest_config
             ).validate()
             forest.config = dataclasses.replace(forest_config, n_trees=len(forest.offsets) - 1)
-    except ParameterError as exc:
+    except (ParameterError, InputError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise InputError(f"{path}: unreadable checkpoint (missing {exc})") from exc

@@ -378,6 +378,33 @@ def _synth_with(flag):
     return pytest.param(make_args, id=flag)
 
 
+def _bad_member(member, edit, what):
+    """Rows that predict from a 'carl' copy of the workspace checkpoint, with
+    ``member`` replaced by ``edit(member)``. Without the forest a bad network
+    weight or scaler value reaches the predictions."""
+    def make_args(root, tmp_path):
+        path = tmp_path / "bad_member.npz"
+        with np.load(root / "run" / "checkpoint.npz") as data:
+            members = {name: data[name] for name in data.files if not name.startswith("forest::")}
+        meta = json.loads(bytes(members["meta"]).decode())
+        meta.update(variant="carl", has_forest=False)
+        members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        members[member] = edit(members[member])
+        np.savez_compressed(path, **members)
+        return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
+
+    return pytest.param(make_args, id=f"{member}={what}")
+
+
+def _first_set_to(value):
+    def edit(arr):
+        arr = arr.copy()
+        arr.flat[0] = value
+        return arr
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "make_args",
     [
@@ -400,6 +427,13 @@ def _synth_with(flag):
         _synth_with("--set=synth.burst_decay_s=0"),
         _synth_with("--rotation-hz=nan"),
         _synth_with("--rotation-hz=inf"),
+        _bad_member("nn::head.W", _first_set_to(np.nan), "nan"),
+        _bad_member("nn::head.W", lambda a: a.astype(str), "str"),
+        _bad_member("nn::head.W", lambda a: a.astype(complex), "complex"),
+        _bad_member("nn::res_cnn.unit0.conv0.W", _first_set_to(np.inf), "inf"),
+        _bad_member("scaler::mean", _first_set_to(np.nan), "nan"),
+        _bad_member("scaler::std", lambda a: a[:3], "3-long"),
+        _bad_member("scaler::std", lambda a: a.astype(str), "str"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):

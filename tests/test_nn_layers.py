@@ -237,25 +237,17 @@ class _UnitWrapper:
         for layer in unit.layers():
             for key, val in layer.params.items():
                 self.params[f"{layer.name}.{key}"] = val
-        self.zero_grads()
+                self.grads[f"{layer.name}.{key}"] = layer.grads[key]
 
     def zero_grads(self):
         for layer in self.unit.layers():
             layer.zero_grads()
-        self._sync()
-
-    def _sync(self):
-        for layer in self.unit.layers():
-            for key, val in layer.grads.items():
-                self.grads[f"{layer.name}.{key}"] = val
 
     def forward(self, x):
         return self.unit.forward(x)
 
     def backward(self, dout):
-        dx = self.unit.backward(dout)
-        self._sync()
-        return dx
+        return self.unit.backward(dout)
 
 
 class TestResCnnUnit:

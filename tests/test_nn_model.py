@@ -183,13 +183,13 @@ class TestWeightsRoundTrip:
     def test_get_set_weights(self, rng):
         a = CarleNet(14, "toy", seed=6)
         b = CarleNet(14, "toy", seed=7)
-        b.set_weights(a.get_weights())
+        b.set_weights(dict(a.parameters()))
         x = _batch(rng, 3)
         assert np.array_equal(a.forward(x)[1], b.forward(x)[1])
 
     def test_set_weights_validates(self):
         net = CarleNet(14, "toy", seed=0)
-        weights = net.get_weights()
+        weights = dict(net.parameters())
         weights.pop("head.W")
         with pytest.raises(InputError):
             net.set_weights(weights)

@@ -12,24 +12,79 @@ def _toy_data(rng, n=30, width=6, seq_len=3):
     return X, y
 
 
+def _per_array_rmsprop_step(accum, params, grads, learning_rate, decay, epsilon):
+    """The optimiser as it was before the flat weight vector: one accumulator
+    and one update per named array. Kept as the reference the flat step must
+    match bit for bit."""
+    grads = dict(grads)
+    for name, p in params:
+        g = grads[name]
+        acc = accum[name]
+        acc *= decay
+        acc += (1.0 - decay) * g * g
+        p -= learning_rate * g / np.sqrt(acc + epsilon)
+
+
+def _assert_views_of_flat(net):
+    for (name, p), (_, g) in zip(net.parameters(), net.gradients()):
+        assert np.shares_memory(p, net.flat_params) and np.shares_memory(g, net.flat_grads), name
+    assert sum(p.size for _, p in net.parameters()) == net.flat_params.size == net.flat_grads.size
+
+
 class TestRmsProp:
     def test_update_rule(self):
         p = np.array([1.0, -2.0])
-        params = [("p", p)]
-        opt = RmsProp(params, learning_rate=0.1, decay=0.9, epsilon=1e-8)
-        g = np.array([0.5, 0.5])
-        opt.step(params, [("p", g)])
+        opt = RmsProp(p.size, learning_rate=0.1, decay=0.9, epsilon=1e-8)
+        opt.step(p, np.array([0.5, 0.5]))
         accum = 0.1 * 0.25
         expect = np.array([1.0, -2.0]) - 0.1 * 0.5 / np.sqrt(accum + 1e-8)
         assert np.allclose(p, expect, rtol=1e-12)
 
     def test_accumulator_nonnegative(self, rng):
         p = rng.normal(size=4)
-        params = [("p", p)]
-        opt = RmsProp(params, 0.01)
+        opt = RmsProp(p.size, 0.01)
         for _ in range(20):
-            opt.step(params, [("p", rng.normal(size=4))])
-            assert np.all(opt.accum["p"] >= 0.0)
+            opt.step(p, rng.normal(size=4))
+            assert np.all(opt.accum >= 0.0)
+
+    def test_flat_step_equals_per_array_steps_bit_for_bit(self, rng):
+        X, y = _toy_data(rng, n=40)
+        flat, ref = CarleNet(6, "gradcheck", seed=11), CarleNet(6, "gradcheck", seed=11)
+        opt = RmsProp(flat.flat_params.size, 2e-3, 0.9, 1e-8)
+        accum = {name: np.zeros_like(arr) for name, arr in ref.parameters()}
+        for step in range(5):
+            batch = slice(8 * step, 8 * step + 8)
+            flat.loss_and_grads(X[batch], y[batch])
+            opt.step(flat.flat_params, flat.flat_grads)
+            ref.loss_and_grads(X[batch], y[batch])
+            _per_array_rmsprop_step(accum, ref.parameters(), ref.gradients(), 2e-3, 0.9, 1e-8)
+            for (name, a), (_, b) in zip(flat.parameters(), ref.parameters()):
+                assert a.tobytes() == b.tobytes(), (step, name)
+        assert opt.accum.tobytes() == np.concatenate([a.ravel() for a in accum.values()]).tobytes()
+
+
+class TestFlatBuffer:
+    def test_params_and_grads_stay_views_of_the_flat_vectors(self, rng):
+        X, y = _toy_data(rng, n=20)
+        net = CarleNet(6, "gradcheck", seed=12)
+        _assert_views_of_flat(net)
+        net.loss_and_grads(X[:4], y[:4])
+        net.zero_grads()
+        assert not net.flat_grads.any()
+        _assert_views_of_flat(net)
+        net.set_weights(dict(CarleNet(6, "gradcheck", seed=13).parameters()))
+        _assert_views_of_flat(net)
+        train(net, X, y, TrainConfig(batch_size=5, learning_rate=1e-3, epochs=3), seed=12)
+        _assert_views_of_flat(net)
+
+    def test_layer_zero_grads_keeps_its_views(self, rng):
+        net = CarleNet(6, "gradcheck", seed=14)
+        grads = dict(net.gradients())
+        net.loss_and_grads(rng.normal(size=(4, 3, 6)), rng.uniform(size=4))
+        assert net.flat_grads.any()
+        net.head.zero_grads()
+        assert net.head.grads["W"] is grads["head.W"]
+        assert not net.head.grads["W"].any()
 
 
 class TestTrain:

@@ -276,6 +276,27 @@ class TestTrainModel:
             assert ("scaler" in bundle.sections) == config.model.standardize
             assert ("forest" in bundle.sections) == (variant != "carl")
 
+    def test_checkpoint_with_attention_key_bias_loads_as_without(self, tmp_path):
+        # format-2 files written before the key bias was dropped still carry
+        # nn::*.mha.bk members; loading ignores them
+        config = tiny_config()
+        X, y = self._data(config)
+        model = train_model(X, y, config, "carle")
+        path = tmp_path / "new.npz"
+        save_model(path, model, config)
+        with np.load(path) as data:
+            members = {name: data[name] for name in data.files}
+        width = get_profile(config.model.profile).mha_model_dim
+        rng = np.random.default_rng(0)
+        for block in ("res_cnn", "res_lstm"):
+            members[f"nn::{block}.mha.bk"] = rng.normal(0.0, 1e-15, width)
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, **members)
+        assert not any(name.endswith(".mha.bk") for name, _ in model.net.parameters())
+        pred = load_model(old).predict(X)
+        assert np.array_equal(pred, load_model(path).predict(X))
+        assert np.array_equal(pred, model.predict(X))
+
     def test_feature_width_mismatch(self):
         config = tiny_config()
         X, y = self._data(config)
