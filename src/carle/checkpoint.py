@@ -9,7 +9,6 @@ the header and the arrays.
 import json
 import zipfile
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,25 +79,6 @@ class CheckpointBundle:
     sections: dict  # section -> {name: array}
 
 
-@contextmanager
-def _open(path):
-    """The checkpoint's members and checked header; a file that is not a
-    readable checkpoint raises InputError."""
-    try:
-        data = np.load(path)  # allow_pickle stays off
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise InputError(f"{path}: not a model checkpoint (not an npz archive)") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise InputError(f"{path}: not a model checkpoint (a bare .npy array)")
-    try:
-        with data:
-            yield data, _header(data, path)
-    except InputError:
-        raise
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-        raise InputError(f"{path}: unreadable checkpoint ({exc})") from exc
-
-
 def _header(data, path) -> dict:
     try:
         meta = json.loads(bytes(data["meta"]).decode())
@@ -111,17 +91,25 @@ def _header(data, path) -> dict:
     return meta
 
 
-def read_meta(path) -> dict:
-    """The checkpoint's header alone, without reading its arrays."""
-    with _open(path) as (_, meta):
-        return meta
-
-
 def load_checkpoint(path) -> CheckpointBundle:
-    with _open(path) as (data, meta):
-        sections = {}
-        for member in data.files:
-            if member != "meta":
-                section, _, name = member.partition("::")
-                sections.setdefault(section, {})[name] = data[member]
+    """The checkpoint's checked header and its arrays; a file that is not a
+    readable checkpoint raises InputError."""
+    try:
+        data = np.load(path)  # allow_pickle stays off
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise InputError(f"{path}: not a model checkpoint (not an npz archive)") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise InputError(f"{path}: not a model checkpoint (a bare .npy array)")
+    sections = {}
+    try:
+        with data:
+            meta = _header(data, path)
+            for member in data.files:
+                if member != "meta":
+                    section, _, name = member.partition("::")
+                    sections.setdefault(section, {})[name] = data[member]
+    except InputError:
+        raise
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise InputError(f"{path}: unreadable checkpoint ({exc})") from exc
     return CheckpointBundle(meta, sections)

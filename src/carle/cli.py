@@ -12,6 +12,7 @@ from . import dataio, pipeline
 from .errors import InputError, NumericalError, ParameterError
 from .metrics import MetricReport
 from .pipeline import VARIANTS, ExperimentConfig
+from .signal import snr_sweep
 
 
 def _parse_set(values):
@@ -27,11 +28,10 @@ def _parse_set(values):
     return overrides
 
 
-def resolve_config(args, checkpoint_path=None) -> ExperimentConfig:
-    """Precedence: flags > --set overrides > config file > checkpoint > defaults."""
-    config = ExperimentConfig()
-    if checkpoint_path is not None:
-        config = pipeline.config_from_checkpoint(checkpoint_path)
+def resolve_config(args, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """Precedence: flags > --set overrides > config file > ``base`` (a
+    checkpoint's config) > defaults."""
+    config = base if base is not None else ExperimentConfig()
     if getattr(args, "config", None):
         config = ExperimentConfig.from_file(args.config, base=config)
     overrides = _parse_set(getattr(args, "set", None))
@@ -54,16 +54,30 @@ def _add_common(parser):
     parser.add_argument("--profile", help="model profile: xjtu, pronostia, toy")
 
 
+def _load_model(args):
+    """The checkpoint's model and the config to run it with: the stored config
+    under the command's overrides, which may not change the sections the
+    model was built and trained from."""
+    model = pipeline.load_model(args.checkpoint)
+    config = resolve_config(args, base=model.config)
+    for section in ("model", "training", "forest"):
+        if getattr(config, section) != getattr(model.config, section):
+            raise InputError(
+                f"{args.checkpoint}: an override changes the {section} section the checkpoint fixes"
+            )
+    return model, config
+
+
 def _load_features(args, config):
     """Feature matrix + labels from --features/--labels or a raw --signal."""
-    if getattr(args, "features", None):
+    if bool(args.features) == bool(args.signal):
+        raise InputError("provide either --features or --signal")
+    if args.features:
         X, names, idx = dataio.read_features_csv(args.features)
-    elif getattr(args, "signal", None):
+    else:
         sig = dataio.read_signal_csv(args.signal, config.sample_rate_hz)
         X, names, idx = pipeline.extract_matrix(sig, config)
-    else:
-        raise InputError("provide --features or --signal")
-    if getattr(args, "labels", None):
+    if args.labels:
         y = dataio.read_labels_csv(args.labels)
         if len(y) != len(X):
             raise InputError(f"label count {len(y)} does not match {len(X)} feature rows")
@@ -127,8 +141,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config = resolve_config(args, checkpoint_path=args.checkpoint)
-    model = pipeline.load_model(args.checkpoint)
+    model, config = _load_model(args)
     X, y, _, idx = _load_features(args, config)
     y_pred = model.predict(X)
     dataio.write_predictions_csv(args.out, idx, y, y_pred, config.config_hash())
@@ -141,6 +154,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.eval_labels and not args.eval_features:
+        raise InputError("--eval-labels needs --eval-features")
     config = resolve_config(args)
     X, y, _, _ = _load_features(args, config)
     eval_X, eval_y = X, y
@@ -152,29 +167,23 @@ def cmd_ablate(args) -> int:
             eval_y = pipeline.labels_for(config, len(eval_X))
 
     out_dir = dataio.ensure_dir(args.out_dir)
-    chash = config.config_hash()
     rows = []
     for variant in VARIANTS:
         model = pipeline.train_model(X, y, config, variant)
         y_pred = model.predict(eval_X)
         report = MetricReport.compute(eval_y, y_pred)
         pipeline.save_model(out_dir / f"{variant}.npz", model, config)
-        rows.append((variant, report))
+        rows.append([variant, repr(report.mae), repr(report.rmse), repr(report.score)])
         print(
             f"{variant}: mae={report.mae:.5f} rmse={report.rmse:.5f} score={report.score:.4f}"
         )
-
-    with open(out_dir / "ablation.csv", "w") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write("variant,mae,rmse,score\n")
-        for variant, report in rows:
-            fh.write(f"{variant},{report.mae!r},{report.rmse!r},{report.score!r}\n")
+    header = ["variant", "mae", "rmse", "score"]
+    dataio._write_csv(out_dir / "ablation.csv", header, rows, config.config_hash(), line_end="\n")
     return 0
 
 
 def cmd_noise(args) -> int:
-    config = resolve_config(args, checkpoint_path=args.checkpoint)
-    model = pipeline.load_model(args.checkpoint)
+    model, config = _load_model(args)
     sig = dataio.read_signal_csv(args.signal, config.sample_rate_hz)
     reports = pipeline.noise_reports(model, sig, config)
     dataio.write_metrics_json(args.out, reports, config.config_hash())
@@ -184,8 +193,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_crossdomain(args) -> int:
-    config = resolve_config(args, checkpoint_path=args.checkpoint)
-    model = pipeline.load_model(args.checkpoint)
+    model, config = _load_model(args)
     source_X, _, _ = dataio.read_features_csv(args.source_features)
     target_X, _, _ = dataio.read_features_csv(args.target_features)
     if args.target_labels:
@@ -219,7 +227,7 @@ def cmd_snr_sweep(args) -> int:
         raise ParameterError(
             f"--sigmas expects comma-separated numbers, got {args.sigmas!r}"
         ) from exc
-    pairs = pipeline.snr_pairs(sig, sigmas, config)
+    pairs = snr_sweep(sig, sigmas, cap_db=config.snr_cap_db)
     dataio.write_snr_csv(args.out, pairs, config.config_hash())
     for sigma, snr in pairs:
         print(f"sigma={sigma:g}: {snr:.3f} dB")

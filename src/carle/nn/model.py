@@ -300,7 +300,6 @@ class CarleNet:
             h = unit.forward(h)
         if self.cnn_mha is not None:
             h = self.cnn_mha.forward(h)
-        self._cnn_out = h
 
         g = h
         for lstm in self.lstms:

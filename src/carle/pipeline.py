@@ -15,14 +15,14 @@ import numpy as np
 from . import adapt as adapt_mod
 from . import forest as forest_mod
 from . import schema
-from .checkpoint import Scaler, load_checkpoint, read_meta, save_checkpoint
+from .checkpoint import Scaler, load_checkpoint, save_checkpoint
 from .errors import InputError, ParameterError
 from .features import ExtractionConfig, extract_features, feature_matrix
 from .labels import make_labels
 from .metrics import MetricReport
 from .nn.model import CarleNet, get_profile
 from .nn.train import TrainConfig, train
-from .signal import MultiChannelSignal, SynthConfig, inject_noise, snr_sweep, synth_run_to_failure
+from .signal import MultiChannelSignal, SynthConfig, SynthProfile, inject_noise, synth_run_to_failure
 
 VARIANTS = ("carle", "carl", "crle", "cale")
 
@@ -39,10 +39,10 @@ def derive_seed(root_seed: int, stream: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Configuration sections no other module owns. The extraction, training and
-# forest sections are features.ExtractionConfig, nn.train.TrainConfig and
-# forest.ForestConfig; synth_config() resolves the synth section into a
-# signal.SynthConfig.
+# Configuration sections no other module owns. The extraction, training,
+# forest and synth sections are features.ExtractionConfig,
+# nn.train.TrainConfig, forest.ForestConfig and signal.SynthProfile;
+# synth_config() resolves the synth section into a signal.SynthConfig.
 # ---------------------------------------------------------------------------
 
 
@@ -97,24 +97,6 @@ class NoiseSection:
 
 
 @dataclass
-class SynthSection:
-    rotation_hz: float | None = None  # None -> extraction.f_o
-    duration_s: float = 20.0
-    channel_count: int = 2
-    onset_fraction: float = 0.1
-    growth_rate: float = 1.0
-    noise_std: float = 0.2
-    burst_amp: float = 4.0
-    burst_rate_hz: float = 12.0
-    burst_decay_s: float = 0.01
-
-    def validate(self):
-        # rotation_hz None follows extraction.f_o, which ExtractionConfig checks
-        fields = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
-        SynthConfig(**fields).validate("synth.")
-
-
-@dataclass
 class AdaptSection:
     pca_components: int | None = None  # None -> full feature width
     ridge: float = 1e-8
@@ -140,7 +122,7 @@ class ExperimentConfig:
     training: TrainConfig = field(default_factory=TrainConfig)
     forest: forest_mod.ForestConfig = field(default_factory=forest_mod.ForestConfig)
     noise: NoiseSection = field(default_factory=NoiseSection)
-    synth: SynthSection = field(default_factory=SynthSection)
+    synth: SynthProfile = field(default_factory=SynthProfile)
     adapt: AdaptSection = field(default_factory=AdaptSection)
 
     def validate(self) -> "ExperimentConfig":
@@ -241,6 +223,7 @@ class TrainedModel:
     scaler: Scaler | None
     report: object
     variant: str
+    config: ExperimentConfig | None = None  # the config it was trained from
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         seqs = self._sequences(X)
@@ -316,7 +299,7 @@ def train_model(X, y, config: ExperimentConfig, variant: str = "carle") -> Train
         trained_forest = forest_mod.fit(
             net.logits(seqs), y, forest_config, seed=derive_seed(config.seed, "bootstrap")
         )
-    return TrainedModel(net, trained_forest, scaler, report, variant)
+    return TrainedModel(net, trained_forest, scaler, report, variant, config)
 
 
 def save_model(path, model: TrainedModel, config: ExperimentConfig):
@@ -365,11 +348,7 @@ def load_model(path) -> TrainedModel:
         raise InputError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise InputError(f"{path}: unreadable checkpoint (missing {exc})") from exc
-    return TrainedModel(net, forest, scaler, report=None, variant=meta["variant"])
-
-
-def config_from_checkpoint(path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(read_meta(path).get("config", {}))
+    return TrainedModel(net, forest, scaler, None, meta["variant"], config)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +414,6 @@ def noise_reports(model: TrainedModel, signal: MultiChannelSignal, config: Exper
         report["noise_params"] = {"kind": kind, **params}
         out[name] = report
     return out
-
-
-def snr_pairs(signal: MultiChannelSignal, sigmas, config: ExperimentConfig):
-    return snr_sweep(signal, sigmas, cap_db=config.snr_cap_db)
 
 
 def synth_signal(config: ExperimentConfig, rotation_hz: float | None = None, stream: str = "synth"):

@@ -1,7 +1,8 @@
 """Multichannel vibration signals: smoothing, windowing, corruption, synthesis."""
 
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -194,19 +195,19 @@ RESONANCE_RATIO = 2.5
 
 
 @dataclass
-class SynthConfig:
-    """Degradation profile for the synthetic run-to-failure generator.
+class SynthProfile:
+    """Degradation profile for the synthetic run-to-failure generator, and
+    the ``synth`` section of a config.
 
     A rotation tone at rotation_hz plus two harmonics rides on background
     noise. After onset_fraction of the record the fault develops along a
     linear severity ramp scaled by growth_rate: the broadband noise floor
     rises (distributed wear) and impulsive bursts (decaying rings at
     RESONANCE_RATIO times the rotation frequency) appear with growing
-    amplitude and rate.
+    amplitude and rate. In a config, rotation_hz None follows extraction.f_o.
     """
 
-    rotation_hz: float = 35.0
-    sample_rate_hz: float = 1024.0
+    rotation_hz: float | None = None
     duration_s: float = 20.0
     channel_count: int = 2
     onset_fraction: float = 0.1
@@ -216,9 +217,10 @@ class SynthConfig:
     burst_rate_hz: float = 12.0
     burst_decay_s: float = 0.01
 
-    def validate(self, prefix: str = ""):
+    def validate(self, prefix: str = "synth."):
         """Raise ParameterError naming the first field that is not finite or
-        breaks its bound; ``prefix`` goes before the field name."""
+        breaks its bound; ``prefix`` goes before the field name. None passes
+        where the field's annotation allows it."""
         rules = (
             ("positive", lambda v: v > 0,
              ("rotation_hz", "sample_rate_hz", "duration_s", "burst_rate_hz", "burst_decay_s")),
@@ -226,11 +228,23 @@ class SynthConfig:
             (">= 1", lambda v: v >= 1, ("channel_count",)),
             ("in [0,1)", lambda v: 0 <= v < 1, ("onset_fraction",)),
         )
+        kinds = {f.name: f.type for f in fields(self)}
         for bound, holds, names in rules:
-            for name in names:
+            for name in filter(kinds.__contains__, names):
                 value = getattr(self, name)
-                if not (math.isfinite(value) and holds(value)):
+                if value is None and type(None) in typing.get_args(kinds[name]):
+                    continue
+                if value is None or not (math.isfinite(value) and holds(value)):
                     raise ParameterError(f"{prefix}{name} must be finite and {bound}, got {value}")
+
+
+@dataclass
+class SynthConfig(SynthProfile):
+    """A profile ready for synth_run_to_failure: the rotation frequency is
+    set, and the sample rate travels with it."""
+
+    rotation_hz: float = 35.0
+    sample_rate_hz: float = 1024.0
 
 
 def synth_run_to_failure(config: SynthConfig, seed: int):
@@ -240,7 +254,7 @@ def synth_run_to_failure(config: SynthConfig, seed: int):
     failure time (end of record) and the fault onset time for label
     generation.
     """
-    config.validate()
+    config.validate(prefix="")
     rng = np.random.default_rng(seed)
     fs = config.sample_rate_hz
     n = int(round(config.duration_s * fs))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import carle
-from carle import pipeline
+from carle import checkpoint, pipeline
 from carle.checkpoint import load_checkpoint
 from carle.cli import main
 from carle.dataio import read_features_csv, read_labels_csv, read_signal_csv, write_features_csv
@@ -113,14 +113,27 @@ class TestPredict:
 
     def test_predict_loads_the_model_once(self, workspace, tmp_path, monkeypatch):
         root, common = workspace
-        loads = []
-        real = pipeline.load_checkpoint
-        monkeypatch.setattr(pipeline, "load_checkpoint", lambda path: loads.append(path) or real(path))
+        loads, opens = [], []
+        real_load, real_open = pipeline.load_checkpoint, checkpoint.np.load
+        monkeypatch.setattr(pipeline, "load_checkpoint", lambda path: loads.append(path) or real_load(path))
+        monkeypatch.setattr(checkpoint.np, "load", lambda path: opens.append(path) or real_open(path))
         assert run_cli(
             "predict", "--checkpoint", str(root / "run" / "checkpoint.npz"),
             "--features", str(root / "feats.csv"), "--out", str(tmp_path / "p.csv"), *common
         ) == 0
         assert len(loads) == 1
+        assert len(opens) == 1
+
+    def test_checkpoint_fixes_model_training_and_forest(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        ckpt = str(root / "run" / "checkpoint.npz")
+        args = ["predict", "--checkpoint", ckpt, "--features", str(root / "feats.csv"), "--out"]
+        allowed = ["--seed", "9", "--set", "noise.gaussian_std=0.3", "--set", "labels.scheme=piecewise"]
+        assert run_cli(*args, str(tmp_path / "ok.csv"), *allowed) == 0
+        assert run_cli(*args, str(tmp_path / "p.csv"), "--set", "training.epochs=99") == 2
+        message = capsys.readouterr().err
+        assert ckpt in message and "training section" in message
+        assert not (tmp_path / "p.csv").exists()
 
     def test_predict_reproduces_training_with_seq_len_override(self, workspace, tmp_path):
         # the network is rebuilt from the stored config, seq_len override included
@@ -356,6 +369,26 @@ def _unknown_forest_key(root, tmp_path):
     return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
 
 
+def _eval_labels_alone(root, tmp_path):
+    return ["ablate", "--features", str(root / "feats.csv"), "--eval-labels", str(tmp_path / "nope.csv")]
+
+
+def _features_and_signal(root, tmp_path):
+    return ["train", "--features", str(root / "feats.csv"), "--signal", str(tmp_path / "nope.csv")]
+
+
+def _predict_with(*flags):
+    """Rows that predict from the workspace checkpoint with flags that change
+    a config section the checkpoint fixes."""
+    def make_args(root, tmp_path):
+        return [
+            "predict", "--checkpoint", str(root / "run" / "checkpoint.npz"),
+            "--features", str(root / "feats.csv"), *flags,
+        ]
+
+    return pytest.param(make_args, id=" ".join(flags))
+
+
 def _json_array_config(root, tmp_path):
     path = tmp_path / "array.json"
     path.write_text("[1, 2]")
@@ -411,6 +444,9 @@ def _first_set_to(value):
         _garbage_checkpoint, _truncated_checkpoint, _nan_feature_row, _bad_sigmas,
         _cyclic_checkpoint, _list_header_checkpoint, _nan_feature_row_train, _non_numeric_feature,
         _unknown_forest_key, _json_array_config, _negative_seed_train,
+        _eval_labels_alone, _features_and_signal,
+        _predict_with("--profile", "pronostia"),
+        _predict_with("--set", "forest.clamp_unit=false"),
         _snr_sweep("1,inf"),
         _snr_sweep("1,1e300"),
         _extract_set("extraction.window_len=abc"),
@@ -440,7 +476,7 @@ def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):
     root, _ = workspace
     out = tmp_path / "out.csv"
     args = make_args(root, tmp_path)
-    out_flag = "--out-dir" if args[0] == "train" else "--out"
+    out_flag = "--out-dir" if args[0] in ("train", "ablate") else "--out"
     env = dict(os.environ, PYTHONPATH=str(Path(carle.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "carle.cli", *args, out_flag, str(out)],

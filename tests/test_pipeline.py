@@ -73,6 +73,8 @@ class TestConfig:
             tiny_config(**{"labels.scheme": "exp"})
         with pytest.raises(ParameterError):
             tiny_config(**{"training.val_fraction": 1.5})
+        with pytest.raises(ParameterError, match=r"^synth\.burst_rate_hz must be finite"):
+            tiny_config(**{"synth.burst_rate_hz": 0})
 
     def test_file_round_trip(self, tmp_path):
         config = tiny_config()

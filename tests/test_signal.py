@@ -255,7 +255,7 @@ class TestSynth:
             ("sample_rate_hz", 0.0), ("duration_s", -1.0), ("burst_rate_hz", 0.0),
             ("burst_decay_s", 0.0), ("noise_std", -0.1), ("burst_amp", -1.0),
             ("growth_rate", -0.5), ("channel_count", 0), ("onset_fraction", 1.0),
-            ("onset_fraction", -0.1), ("burst_amp", float("inf")),
+            ("onset_fraction", -0.1), ("burst_amp", float("inf")), ("rotation_hz", None),
         ],
     )
     def test_every_bound_checked(self, name, value):
