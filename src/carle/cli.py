@@ -77,13 +77,18 @@ def _load_features(args, config):
     else:
         sig = dataio.read_signal_csv(args.signal, config.sample_rate_hz)
         X, names, idx = pipeline.extract_matrix(sig, config)
-    if args.labels:
-        y = dataio.read_labels_csv(args.labels)
-        if len(y) != len(X):
-            raise InputError(f"label count {len(y)} does not match {len(X)} feature rows")
-    else:
-        y = pipeline.labels_for(config, len(X))
-    return X, y, names, idx
+    return X, _labels(args.labels, config, len(X)), names, idx
+
+
+def _labels(path, config, n_rows):
+    """The labels for ``n_rows`` feature rows: read from ``path`` and refused
+    unless there is one per row, or made by the config's scheme without one."""
+    if not path:
+        return pipeline.labels_for(config, n_rows)
+    y = dataio.read_labels_csv(path)
+    if len(y) != n_rows:
+        raise InputError(f"{path}: label count {len(y)} does not match {n_rows} feature rows")
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +166,7 @@ def cmd_ablate(args) -> int:
     eval_X, eval_y = X, y
     if args.eval_features:
         eval_X, _, _ = dataio.read_features_csv(args.eval_features)
-        if args.eval_labels:
-            eval_y = dataio.read_labels_csv(args.eval_labels)
-        else:
-            eval_y = pipeline.labels_for(config, len(eval_X))
+        eval_y = _labels(args.eval_labels, config, len(eval_X))
 
     out_dir = dataio.ensure_dir(args.out_dir)
     rows = []
@@ -196,10 +198,7 @@ def cmd_crossdomain(args) -> int:
     model, config = _load_model(args)
     source_X, _, _ = dataio.read_features_csv(args.source_features)
     target_X, _, _ = dataio.read_features_csv(args.target_features)
-    if args.target_labels:
-        target_y = dataio.read_labels_csv(args.target_labels)
-    else:
-        target_y = pipeline.labels_for(config, len(target_X))
+    target_y = _labels(args.target_labels, config, len(target_X))
     aligned, unaligned = pipeline.crossdomain_predictions(model, source_X, target_X, config)
     payload = {
         "aligned": MetricReport.compute(target_y, aligned).to_dict(),

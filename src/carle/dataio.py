@@ -2,9 +2,12 @@
 
 Every emitted file carries the resolved config hash: CSVs in a leading
 ``# config_hash=...`` comment line, JSON files in a ``config_hash`` field.
-Readers skip ``#`` comment lines.
+CSV readers skip blank lines and lines whose first character is ``#``; any
+other ``#`` is an error. Values may be padded or quoted (``"1.0"``) and are
+read by Python's ``float`` (``int`` for ``window_index``).
 """
 
+import contextlib
 import csv
 import itertools
 import json
@@ -16,20 +19,64 @@ from .errors import InputError
 from .signal import MultiChannelSignal
 
 
-def _data_lines(path):
+# The characters that numpy's C parser and Python's int() and float() read
+# alike: numpy also strips \x1c-\x1f and reads some non-ASCII digits as int.
+_PLAIN = b"0123456789.eE+-infatyINFATY, \t\r\n"
+
+
+def _data_lines(path) -> list[str]:
     with open(path, newline="") as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            yield line
+        return [line for line in fh if line[0] != "#" and not line.isspace()]
 
 
 def _line(path, row: int) -> str:
-    """``path:line`` of data row ``row`` (0-based) as _data_lines counts rows,
-    for error messages."""
+    """``path:line`` of data row ``row`` (0-based), for error messages."""
     with open(path, newline="") as fh:
-        numbers = (k for k, line in enumerate(fh, 1) if not line.startswith("#") and line.strip())
+        numbers = (k for k, line in enumerate(fh, 1) if line[0] != "#" and not line.isspace())
         return f"{path}:{next(itertools.islice(numbers, row, None))}"
+
+
+def _parse(path, lines, start, width, first, faults, by_row=False):
+    """Data rows ``lines[start:]`` of ``width`` columns as (first column of
+    type ``first`` or None, float64 matrix of the rest). numpy's C parser
+    reads a clean file; a file it refuses, or with a non-finite value, goes
+    to ``_parse_rows``."""
+    fields = [("first", first)] if first else []
+    dtype = np.dtype(fields + [("values", np.float64, (width - len(fields),))])
+    body, table = lines[start:], None
+    text = "".join(body)
+    if body and text.isascii() and not text.encode().translate(None, _PLAIN):
+        with contextlib.suppress(ValueError):
+            table = np.loadtxt(body, dtype, delimiter=",", comments=None, ndmin=1)
+    if table is None or not np.isfinite(table["values"]).all():
+        table = np.array(_parse_rows(path, body, start, width, first, faults, by_row), dtype)
+    first_column = np.ascontiguousarray(table["first"]) if first else None
+    return first_column, np.ascontiguousarray(table["values"])
+
+
+def _parse_rows(path, body, start, width, first, faults, by_row):
+    """The grammar: csv tokens read by ``int`` or ``float``. Accepts what
+    numpy refuses (``1_0``, ``"1.0"``) or raises the first of ``faults``
+    (wrong width, may use ``{n}`` and ``{width}``; bad value; non-finite
+    value) that applies: per row in turn with ``by_row``, else by fault."""
+    bad_width, bad_value, non_finite = faults
+    rows, found = [], []
+    for i, row in enumerate(csv.reader(body), start):
+        if len(row) != width:
+            found.append((0 if by_row else 2, i, bad_width.format(n=len(row), width=width)))
+        try:
+            lead = [np.dtype(first).type(first(row[0]))] if first else []
+            values = [float(tok) for tok in row[len(lead):]]
+        except (ValueError, OverflowError):
+            found.append((1, i, bad_value))
+            continue
+        if not np.isfinite(values).all():
+            found.append((3, i, non_finite))
+        rows.append((*lead, values))
+    if found:
+        _, i, message = min(found, key=lambda f: (f[1], f[0]) if by_row else f)
+        raise InputError(f"{_line(path, i)}: {message}")
+    return rows
 
 
 def read_signal_csv(path, sample_rate_hz: float) -> MultiChannelSignal:
@@ -37,33 +84,22 @@ def read_signal_csv(path, sample_rate_hz: float) -> MultiChannelSignal:
     numeric columns, one row per sample. A first row is a header only when
     none of its tokens is a number. A leading ``t`` column is ignored; the
     sample rate always comes from configuration."""
-    rows = list(csv.reader(_data_lines(path)))
-    if not rows:
+    lines = _data_lines(path)
+    if not lines:
         raise InputError(f"{path}: empty signal file")
-    header = rows[0]
+    rows = csv.reader(lines)
+    header = next(rows)
     numeric = [_is_number(tok) for tok in header]
     if any(numeric) and not all(numeric):
         raise InputError(f"{_line(path, 0)}: first row mixes numbers and names")
-    start = 0 if all(numeric) else 1
-    drop_first = start == 1 and header[0].strip().lower() in {"t", "time", "time_s"}
-    data = []
-    for i, row in enumerate(rows[start:], start=start):
-        try:
-            vals = [float(tok) for tok in row]
-        except ValueError as exc:
-            raise InputError(f"{_line(path, i)}: non-numeric value") from exc
-        data.append(vals[1:] if drop_first else vals)
-    try:
-        arr = np.asarray(data, dtype=np.float64)
-    except ValueError as exc:
-        ragged = next(i for i, vals in enumerate(data) if len(vals) != len(data[0]))
-        raise InputError(f"{_line(path, start + ragged)}: column count differs from the first row") from exc
-    if arr.ndim != 2 or arr.shape[1] < 1:
+    start = 0 if all(numeric) else rows.line_num
+    width = len(header if start == 0 else next(rows, header))
+    has_time = start > 0 and header[0].strip().lower() in {"t", "time", "time_s"}
+    faults = ("column count differs from the first row", "non-numeric value", "non-finite sample")
+    _, samples = _parse(path, lines, start, width, float if has_time else None, faults)
+    if samples.size == 0:
         raise InputError(f"{path}: expected one column per channel")
-    finite = np.isfinite(arr).all(axis=1)
-    if not finite.all():
-        raise InputError(f"{_line(path, start + int(np.argmin(finite)))}: non-finite sample")
-    return MultiChannelSignal(arr.T, sample_rate_hz)
+    return MultiChannelSignal(samples.T, sample_rate_hz)
 
 
 def _is_number(tok: str) -> bool:
@@ -105,26 +141,16 @@ def write_features_csv(path, matrix, names, window_index=None, config_hash: str 
 
 def read_features_csv(path):
     """Returns (matrix, names, window_index)."""
-    rows = list(csv.reader(_data_lines(path)))
-    if len(rows) < 2:
+    lines = _data_lines(path)
+    rows = csv.reader(lines)
+    header = next(rows, None)
+    if rows.line_num >= len(lines):
         raise InputError(f"{path}: need a header row and at least one feature row")
-    header = rows[0]
     if header[0] != "window_index":
         raise InputError(f"{path}: first column must be window_index, got {header[0]!r}")
-    names = tuple(header[1:])
-    idx = []
-    data = []
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise InputError(f"{_line(path, i)}: {len(row)} values, header has {len(header)}")
-        try:
-            idx.append(int(row[0]))
-            data.append([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise InputError(f"{_line(path, i)}: non-numeric value") from exc
-        if not np.isfinite(data[-1]).all():
-            raise InputError(f"{_line(path, i)}: non-finite feature value")
-    return np.asarray(data, dtype=np.float64), names, np.asarray(idx, dtype=np.int64)
+    faults = ("{n} values, header has {width}", "non-numeric value", "non-finite feature value")
+    idx, matrix = _parse(path, lines, rows.line_num, len(header), int, faults, by_row=True)
+    return matrix, tuple(header[1:]), idx
 
 
 def write_labels_csv(path, values, config_hash: str = ""):
@@ -133,18 +159,13 @@ def write_labels_csv(path, values, config_hash: str = ""):
 
 
 def read_labels_csv(path) -> np.ndarray:
-    lines = [ln.strip() for ln in _data_lines(path)]
+    """One label per data row, after an optional ``rul`` header row."""
+    lines = _data_lines(path)
     if not lines:
         raise InputError(f"{path}: empty label file")
-    if lines[0] == "rul":
-        lines = lines[1:]
-    try:
-        labels = np.asarray([float(v) for v in lines], dtype=np.float64)
-    except ValueError as exc:
-        raise InputError(f"{path}: labels must be numeric") from exc
-    if not np.isfinite(labels).all():
-        raise InputError(f"{path}: labels must be finite")
-    return labels
+    start = int(lines[0].strip() == "rul")
+    bad = "labels must be numeric"
+    return _parse(path, lines, start, 1, None, (bad, bad, "labels must be finite"))[1].ravel()
 
 
 def write_predictions_csv(path, window_index, y_true, y_pred, config_hash: str = ""):

@@ -45,19 +45,28 @@ class TrainConfig:
 
 class RmsProp:
     """Squared-gradient accumulator over a flat weight vector:
-    w -= lr * g / sqrt(E[g^2] + eps), elementwise."""
+    w -= lr * g / sqrt(E[g^2] + eps), elementwise. A step works in place in
+    two scratch vectors, in the operation order of the expression."""
 
     def __init__(self, size, learning_rate, decay=0.9, epsilon=1e-8):
         self.learning_rate = learning_rate
         self.decay = decay
         self.epsilon = epsilon
         self.accum = np.zeros(size)
+        self._num = np.empty(size)
+        self._den = np.empty(size)
 
     def step(self, p, g):
-        acc = self.accum
+        acc, num, den = self.accum, self._num, self._den
         acc *= self.decay
-        acc += (1.0 - self.decay) * g * g
-        p -= self.learning_rate * g / np.sqrt(acc + self.epsilon)
+        np.multiply(g, 1.0 - self.decay, out=num)
+        num *= g
+        acc += num
+        np.add(acc, self.epsilon, out=den)
+        np.sqrt(den, out=den)
+        np.multiply(g, self.learning_rate, out=num)
+        num /= den
+        p -= num
 
 
 @dataclass

@@ -389,6 +389,26 @@ def _predict_with(*flags):
     return pytest.param(make_args, id=" ".join(flags))
 
 
+def _short_labels(flag):
+    """Rows that pass an 18-row label file to ``flag``, which the workspace
+    features outnumber. The message must name the file, and no work starts."""
+    def make_args(root, tmp_path):
+        path = tmp_path / "short_labels.csv"
+        path.write_text("rul\n" + "0.5\n" * 18)
+        feats, checkpoint = str(root / "feats.csv"), str(root / "run" / "checkpoint.npz")
+        command = {
+            "--labels": ["train", "--features", feats],
+            "--eval-labels": ["ablate", "--features", feats, "--eval-features", feats,
+                              "--set", "training.epochs=2"],
+            "--target-labels": ["crossdomain", "--checkpoint", checkpoint,
+                                "--source-features", feats, "--target-features", feats],
+        }[flag]
+        return [*command, flag, str(path)]
+
+    make_args.names = "short_labels.csv"
+    return pytest.param(make_args, id=f"{flag}=short")
+
+
 def _json_array_config(root, tmp_path):
     path = tmp_path / "array.json"
     path.write_text("[1, 2]")
@@ -447,6 +467,9 @@ def _first_set_to(value):
         _eval_labels_alone, _features_and_signal,
         _predict_with("--profile", "pronostia"),
         _predict_with("--set", "forest.clamp_unit=false"),
+        _short_labels("--labels"),
+        _short_labels("--eval-labels"),
+        _short_labels("--target-labels"),
         _snr_sweep("1,inf"),
         _snr_sweep("1,1e300"),
         _extract_set("extraction.window_len=abc"),
@@ -486,6 +509,7 @@ def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert getattr(make_args, "names", "") in lines[0]
     assert not out.exists()
 
 

@@ -117,6 +117,141 @@ class TestLabelCsv:
         with pytest.raises(InputError, match="finite"):
             dataio.read_labels_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("rul\n0.5\n\n# c\nhigh\n", 5, "labels must be numeric"),
+            ("0.5\nnan\n", 2, "labels must be finite"),
+        ],
+    )
+    def test_bad_label_named_by_its_line(self, tmp_path, text, line, reason):
+        path = tmp_path / "l.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=rf"l.csv:{line}: {reason}"):
+            dataio.read_labels_csv(path)
+
+
+class TestParserDivergence:
+    """Inputs on which numpy's C parser and Python's float() or int() may
+    disagree. Each reader returns what the row-by-row grammar returns."""
+
+    @staticmethod
+    def _write(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        return path
+
+    def test_float_only_spellings_accepted(self, tmp_path):
+        path = self._write(tmp_path, "sig.csv", "t,ch1\n0,1_0\n1,\uff11\n2,\u0663\n")
+        sig = dataio.read_signal_csv(path, 100.0)
+        assert sig.channels.tobytes() == np.array([[10.0, 1.0, 3.0]]).tobytes()
+
+    @pytest.mark.parametrize("token", ["1.", ".5", "+.5", "1E5", "-0.0", "4.9e-324", "1e-320", " 7 "])
+    def test_spellings_read_bit_for_bit_as_float(self, tmp_path, token):
+        path = self._write(tmp_path, "sig.csv", f"1.0,{token}\n2.0,{token}\n")
+        sig = dataio.read_signal_csv(path, 100.0)
+        assert sig.channels.tobytes() == np.array([[1.0, 2.0], [float(token)] * 2]).tobytes()
+
+    @pytest.mark.parametrize("token", ["1\x1c", "\x1f1", "1\u01fe"])
+    def test_characters_numpy_alone_reads_are_refused(self, tmp_path, token):
+        sig = self._write(tmp_path, "sig.csv", f"t,ch1\n0,1.0\n1,{token}\n")
+        with pytest.raises(InputError, match=r"sig.csv:3: non-numeric value"):
+            dataio.read_signal_csv(sig, 100.0)
+        feats = self._write(tmp_path, "f.csv", f"window_index,a\n0,0.5\n{token},0.5\n")
+        with pytest.raises(InputError, match=r"f.csv:3: non-numeric value"):
+            dataio.read_features_csv(feats)
+
+    def test_quoted_numbers_accepted(self, tmp_path):
+        sig = self._write(tmp_path, "sig.csv", 't,ch1\n0,"1.0"\n"1",2.5\n')
+        assert np.array_equal(dataio.read_signal_csv(sig, 100.0).channels, [[1.0, 2.5]])
+        feats = self._write(tmp_path, "f.csv", 'window_index,a\n"3","0.5"\n')
+        X, _, idx = dataio.read_features_csv(feats)
+        assert np.array_equal(X, [[0.5]]) and np.array_equal(idx, [3])
+        labels = self._write(tmp_path, "l.csv", 'rul\n"0.5"\n0.25\n')
+        assert np.array_equal(dataio.read_labels_csv(labels), [0.5, 0.25])
+
+    @pytest.mark.parametrize("token", [" nan ", "infinity", "-Infinity", "1e400"])
+    def test_padded_and_spelled_out_non_finite_rejected_at_its_line(self, tmp_path, token):
+        sig = self._write(tmp_path, "sig.csv", f"# h\nt,ch1\n0,1.0\n1,{token}\n")
+        with pytest.raises(InputError, match=r"sig.csv:4: non-finite sample"):
+            dataio.read_signal_csv(sig, 100.0)
+        feats = self._write(tmp_path, "f.csv", f"window_index,a\n0,{token}\n")
+        with pytest.raises(InputError, match=r"f.csv:2: non-finite feature value"):
+            dataio.read_features_csv(feats)
+
+    def test_non_finite_time_column_is_ignored(self, tmp_path):
+        path = self._write(tmp_path, "sig.csv", "t,ch1\nnan,1.0\ninf,2.0\n")
+        assert np.array_equal(dataio.read_signal_csv(path, 100.0).channels, [[1.0, 2.0]])
+
+    def test_trailing_comma_rejected_with_each_readers_message(self, tmp_path):
+        sig = self._write(tmp_path, "sig.csv", "1.0,2.0\n3.0,4.0,\n")
+        with pytest.raises(InputError, match=r"sig.csv:2: non-numeric value"):
+            dataio.read_signal_csv(sig, 100.0)
+        feats = self._write(tmp_path, "f.csv", "window_index,a\n0,0.5,\n")
+        with pytest.raises(InputError, match=r"f.csv:2: 3 values, header has 2"):
+            dataio.read_features_csv(feats)
+
+    def test_inline_comment_is_an_error(self, tmp_path):
+        path = self._write(tmp_path, "sig.csv", "1.0,2.0\n1.0,2 # x\n")
+        with pytest.raises(InputError, match=r"sig.csv:2: non-numeric value"):
+            dataio.read_signal_csv(path, 100.0)
+
+    def test_crlf_blank_and_comment_lines_between_rows(self, tmp_path):
+        text = "# h\r\nt,ch1\r\n0,1.0\r\n\r\n# note\r\n   \r\n1,2.0\r\n"
+        path = self._write(tmp_path, "sig.csv", text)
+        assert np.array_equal(dataio.read_signal_csv(path, 100.0).channels, [[1.0, 2.0]])
+        path = self._write(tmp_path, "sig.csv", text + "\r\n# more\r\n2,abc\r\n")
+        with pytest.raises(InputError, match=r"sig.csv:10: non-numeric value"):
+            dataio.read_signal_csv(path, 100.0)
+
+    def test_ragged_row_after_header_rejected_at_its_line(self, tmp_path):
+        path = self._write(tmp_path, "sig.csv", "t,ch1,ch2\n0,1,2\n\n1,3\n")
+        with pytest.raises(InputError, match=r"sig.csv:4: column count differs"):
+            dataio.read_signal_csv(path, 100.0)
+
+    @pytest.mark.parametrize("text", ["t\n0.0\n0.1\n", "t,ch1\n", "time\n"])
+    def test_no_channel_column_rejected(self, tmp_path, text):
+        path = self._write(tmp_path, "sig.csv", text)
+        with pytest.raises(InputError, match="expected one column per channel"):
+            dataio.read_signal_csv(path, 100.0)
+
+    def test_two_labels_on_one_line_rejected_at_its_line(self, tmp_path):
+        path = self._write(tmp_path, "l.csv", "rul\n0.5\n0.1,0.2\n")
+        with pytest.raises(InputError, match=r"l.csv:3: labels must be numeric"):
+            dataio.read_labels_csv(path)
+
+    def test_window_index_out_of_int64_range_rejected_at_its_line(self, tmp_path):
+        path = self._write(tmp_path, "f.csv", "window_index,a\n0,0.5\n99999999999999999999,0.5\n")
+        with pytest.raises(InputError, match=r"f.csv:3: non-numeric value"):
+            dataio.read_features_csv(path)
+
+    def test_signal_names_a_bad_value_before_an_earlier_ragged_row(self, tmp_path):
+        path = self._write(tmp_path, "sig.csv", "1.0,2.0\n3.0\nnan,1.0\n5.0,abc\n")
+        with pytest.raises(InputError, match=r"sig.csv:4: non-numeric value"):
+            dataio.read_signal_csv(path, 100.0)
+
+    def test_features_name_the_first_faulty_row(self, tmp_path):
+        path = self._write(tmp_path, "f.csv", "window_index,a\n0,nan\n1,0.5,0.7\n2,abc\n")
+        with pytest.raises(InputError, match=r"f.csv:2: non-finite feature value"):
+            dataio.read_features_csv(path)
+
+    def test_clean_files_never_reach_the_fallback(self, tmp_path, rng, monkeypatch):
+        sig = MultiChannelSignal(rng.normal(size=(2, 300)), 256.0)
+        X = rng.normal(size=(7, 3))
+        dataio.write_signal_csv(tmp_path / "sig.csv", sig, "h")
+        dataio.write_features_csv(tmp_path / "f.csv", X, ("a", "b", "c"), config_hash="h")
+        dataio.write_labels_csv(tmp_path / "l.csv", X[:, 0], "h")
+
+        def refuse(*args):
+            raise AssertionError("a clean file reached the row-by-row loop")
+
+        monkeypatch.setattr(dataio, "_parse_rows", refuse)
+        again = dataio.read_signal_csv(tmp_path / "sig.csv", 256.0)
+        assert again.channels.tobytes() == sig.channels.tobytes()
+        X2, _, idx = dataio.read_features_csv(tmp_path / "f.csv")
+        assert X2.tobytes() == X.tobytes() and np.array_equal(idx, np.arange(7))
+        assert dataio.read_labels_csv(tmp_path / "l.csv").tobytes() == X[:, 0].tobytes()
+
 
 def test_predictions_csv(tmp_path):
     path = tmp_path / "p.csv"
