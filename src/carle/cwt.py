@@ -10,8 +10,10 @@ the denominator of the phase (exp(1j*f_c*tau/(2*pi))) is available with
 ``two_pi_phase=False``; note its passband does not line up with the grid's
 nominal frequencies.
 
-Coefficients are computed by FFT convolution, one numpy path, with each
-window length's wavelet spectra memoised.
+Coefficients are computed by FFT convolution, one numpy path that takes a
+window channel or an (m, n) block of them, so a whole extraction runs as a
+few batched FFT calls. Each scale grid and each window length's wavelet
+spectra are memoised.
 """
 
 import functools
@@ -45,7 +47,7 @@ def morlet(t, center_freq: float = DEFAULT_CENTER_FREQ, two_pi_phase: bool = Tru
     return complex(value) if value.ndim == 0 else value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScaleGrid:
     """Logarithmically spaced wavelet scales with their nominal frequencies."""
 
@@ -60,13 +62,17 @@ class ScaleGrid:
         return len(self.scales)
 
 
+@functools.lru_cache(maxsize=8)
 def build_scale_grid(
     f_o: float,
     sample_rate_hz: float,
     n_scales: int = 64,
     center_freq: float = DEFAULT_CENTER_FREQ,
 ) -> ScaleGrid:
-    """Scale grid covering [f_o/3, 3*f_o] with n_scales log-spaced scales."""
+    """Scale grid covering [f_o/3, 3*f_o] with n_scales log-spaced scales.
+
+    Memoised: equal arguments return the same grid, with read-only arrays.
+    """
     if f_o <= 0:
         raise ParameterError(f"f_o must be positive, got {f_o}")
     if n_scales < 2:
@@ -84,6 +90,7 @@ def build_scale_grid(
     # descending frequencies give ascending scales; endpoints are exact
     freqs = np.geomspace(f_max, f_min, n_scales)
     scales = center_freq * sample_rate_hz / freqs
+    freqs.flags.writeable = scales.flags.writeable = False
     return ScaleGrid(scales, freqs, center_freq, f_min, f_max)
 
 
@@ -120,28 +127,29 @@ def _wavelet_spectra(n_samples, scales_bytes, phase_coeff, dt):
 
 
 def cwt_scalogram(x, scales, phase_coeff, dt):
-    """Complex wavelet coefficients of one window, shape (n_scales, len(x))."""
+    """Complex wavelet coefficients of one window, shape (n_scales, n), or of
+    each row of an (m, n) block, shape (m, n_scales, n)."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     scales = np.ascontiguousarray(scales, dtype=np.float64)
-    n = x.shape[0]
+    n = x.shape[-1]
     spectra = _wavelet_spectra(n, scales.tobytes(), float(phase_coeff), float(dt))
-    product = np.fft.fft(x, spectra.shape[1]) * spectra
-    # in place: a second (n_scales, nfft) buffer costs more than the transform
-    return np.fft.ifft(product, axis=1, out=product)[:, :n]
+    product = np.fft.fft(x, spectra.shape[1])[..., None, :] * spectra
+    # in place: a second (..., n_scales, nfft) buffer costs more than the transform
+    return np.fft.ifft(product, axis=-1, out=product)[..., :n]
 
 
 @dataclass
 class Scalogram:
-    """Wavelet coefficients of one window, shape (n_scales, window_len)."""
+    """Wavelet coefficients of one window channel, shape (n_scales, n), or of
+    a block of them, shape (m, n_scales, n).
+
+    Coefficients are not checked here: a non-finite one makes its scale's
+    energy non-finite, and ``features.extract_features`` refuses a window
+    whose features are not finite.
+    """
 
     coefficients: np.ndarray
     grid: ScaleGrid
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.coefficients.real)) or not np.all(
-            np.isfinite(self.coefficients.imag)
-        ):
-            raise InputError("scalogram contains non-finite coefficients")
 
 
 def transform(
@@ -150,17 +158,18 @@ def transform(
     sample_rate_hz: float,
     two_pi_phase: bool = True,
 ) -> Scalogram:
-    """Wavelet coefficients of one window channel over the whole scale grid.
+    """Wavelet coefficients of one window channel, or of each row of an
+    (m, n) block of window channels, over the whole scale grid.
 
     Coefficients carry 1/sqrt(scale) amplitude normalisation so per-scale
     energies are comparable; the signal is treated as zero outside the
     window.
     """
     x = np.asarray(window_samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError(f"expected a 1-D window channel, got shape {x.shape}")
-    if len(x) < 4:
-        raise InputError(f"window too short for transform: {len(x)} < 4 samples")
+    if x.ndim not in (1, 2):
+        raise InputError(f"expected a window channel or an (m, n) block of them, got shape {x.shape}")
+    if x.shape[-1] < 4:
+        raise InputError(f"window too short for transform: {x.shape[-1]} < 4 samples")
     if grid.count < 2:
         raise ParameterError("scale grid is degenerate (fewer than 2 scales)")
     k = phase_coefficient(grid.center_freq, two_pi_phase)

@@ -4,7 +4,8 @@ Every emitted file carries the resolved config hash: CSVs in a leading
 ``# config_hash=...`` comment line, JSON files in a ``config_hash`` field.
 CSV readers skip blank lines and lines whose first character is ``#``; any
 other ``#`` is an error. Values may be padded or quoted (``"1.0"``) and are
-read by Python's ``float`` (``int`` for ``window_index``).
+read by Python's ``float`` (``int`` for ``window_index``). A quote must close
+on the line it opens, right before a comma or the line end.
 """
 
 import contextlib
@@ -30,7 +31,7 @@ def _data_lines(path) -> list[str]:
 
 
 def _line(path, row: int) -> str:
-    """``path:line`` of data row ``row`` (0-based), for error messages."""
+    """``path:line`` of data line ``row`` (0-based), for error messages."""
     with open(path, newline="") as fh:
         numbers = (k for k, line in enumerate(fh, 1) if line[0] != "#" and not line.isspace())
         return f"{path}:{next(itertools.islice(numbers, row, None))}"
@@ -49,19 +50,23 @@ def _parse(path, lines, start, width, first, faults, by_row=False):
         with contextlib.suppress(ValueError):
             table = np.loadtxt(body, dtype, delimiter=",", comments=None, ndmin=1)
     if table is None or not np.isfinite(table["values"]).all():
-        table = np.array(_parse_rows(path, body, start, width, first, faults, by_row), dtype)
+        table = np.array(_parse_rows(path, lines, start, width, first, faults, by_row), dtype)
     first_column = np.ascontiguousarray(table["first"]) if first else None
     return first_column, np.ascontiguousarray(table["values"])
 
 
-def _parse_rows(path, body, start, width, first, faults, by_row):
+def _parse_rows(path, lines, start, width, first, faults, by_row):
     """The grammar: csv tokens read by ``int`` or ``float``. Accepts what
     numpy refuses (``1_0``, ``"1.0"``) or raises the first of ``faults``
     (wrong width, may use ``{n}`` and ``{width}``; bad value; non-finite
-    value) that applies: per row in turn with ``by_row``, else by fault."""
+    value) that applies: per row in turn with ``by_row``, else by fault. A
+    quoting fault counts as a bad value."""
     bad_width, bad_value, non_finite = faults
     rows, found = [], []
-    for i, row in enumerate(csv.reader(body), start):
+    for i, row, quoting in _records(lines, start):
+        if quoting:
+            found.append((1, i, quoting))
+            continue
         if len(row) != width:
             found.append((0 if by_row else 2, i, bad_width.format(n=len(row), width=width)))
         try:
@@ -79,6 +84,32 @@ def _parse_rows(path, body, start, width, first, faults, by_row):
     return rows
 
 
+def _records(lines, start=0):
+    """Per csv row of ``lines[start:]``: the index in ``lines`` of the line it
+    opens on, its tokens, and its quoting fault or "". A quote must close
+    on the line it opens, right before a comma or the line end."""
+    reader = csv.reader(itertools.islice(lines, start, None), strict=True)
+    while True:
+        i = start + reader.line_num
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # a quote left open, text after a closing one, ...
+            yield i, [], f"malformed row ({exc})"
+            continue
+        spans = any("\n" in tok or "\r" in tok for tok in row)
+        yield i, row, "quoted field spans lines" if spans else ""
+
+
+def _row(path, records, default=None):
+    """The tokens of the next of ``records``, or ``default`` when none is left."""
+    i, row, quoting = next(records, (0, default, ""))
+    if quoting:
+        raise InputError(f"{_line(path, i)}: {quoting}")
+    return row
+
+
 def read_signal_csv(path, sample_rate_hz: float) -> MultiChannelSignal:
     """Load a raw-signal CSV: header row ``t,ch1,ch2,...`` or headerless
     numeric columns, one row per sample. A first row is a header only when
@@ -87,13 +118,13 @@ def read_signal_csv(path, sample_rate_hz: float) -> MultiChannelSignal:
     lines = _data_lines(path)
     if not lines:
         raise InputError(f"{path}: empty signal file")
-    rows = csv.reader(lines)
-    header = next(rows)
+    records = _records(lines)
+    header = _row(path, records)
     numeric = [_is_number(tok) for tok in header]
     if any(numeric) and not all(numeric):
         raise InputError(f"{_line(path, 0)}: first row mixes numbers and names")
-    start = 0 if all(numeric) else rows.line_num
-    width = len(header if start == 0 else next(rows, header))
+    start = 0 if all(numeric) else 1
+    width = len(header if start == 0 else _row(path, records, header))
     has_time = start > 0 and header[0].strip().lower() in {"t", "time", "time_s"}
     faults = ("column count differs from the first row", "non-numeric value", "non-finite sample")
     _, samples = _parse(path, lines, start, width, float if has_time else None, faults)
@@ -142,14 +173,13 @@ def write_features_csv(path, matrix, names, window_index=None, config_hash: str 
 def read_features_csv(path):
     """Returns (matrix, names, window_index)."""
     lines = _data_lines(path)
-    rows = csv.reader(lines)
-    header = next(rows, None)
-    if rows.line_num >= len(lines):
+    header = _row(path, _records(lines), [])
+    if len(lines) < 2:
         raise InputError(f"{path}: need a header row and at least one feature row")
     if header[0] != "window_index":
         raise InputError(f"{path}: first column must be window_index, got {header[0]!r}")
     faults = ("{n} values, header has {width}", "non-numeric value", "non-finite feature value")
-    idx, matrix = _parse(path, lines, rows.line_num, len(header), int, faults, by_row=True)
+    idx, matrix = _parse(path, lines, 1, len(header), int, faults, by_row=True)
     return matrix, tuple(header[1:]), idx
 
 

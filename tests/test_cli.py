@@ -11,7 +11,14 @@ import carle
 from carle import checkpoint, pipeline
 from carle.checkpoint import load_checkpoint
 from carle.cli import main
-from carle.dataio import read_features_csv, read_labels_csv, read_signal_csv, write_features_csv
+from carle.dataio import (
+    read_features_csv,
+    read_labels_csv,
+    read_signal_csv,
+    write_features_csv,
+    write_signal_csv,
+)
+from carle.signal import MultiChannelSignal
 
 
 def run_cli(*args):
@@ -377,6 +384,31 @@ def _features_and_signal(root, tmp_path):
     return ["train", "--features", str(root / "feats.csv"), "--signal", str(tmp_path / "nope.csv")]
 
 
+def _scaled_signal(scale):
+    """Rows that extract a 2-channel copy of the workspace signal scaled by
+    ``scale``, whose moments or energies overflow."""
+    def make_args(root, tmp_path):
+        sig = read_signal_csv(root / "sig.csv", 1024.0)
+        path = tmp_path / "scaled.csv"
+        channels = np.vstack([sig.channels, -0.5 * sig.channels]) * scale
+        write_signal_csv(path, MultiChannelSignal(channels, 1024.0))
+        return ["extract", "--signal", str(path)]
+
+    return pytest.param(make_args, id=f"extract x{scale:g}")
+
+
+def _huge_field_signal(root, tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("t,ch1\n0,1.0\n1," + "1" * 140_000 + "\n")
+    return ["extract", "--signal", str(path)]
+
+
+def _unclosed_quote_signal(root, tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text((root / "sig.csv").read_text() + '6.0,"0.5\n')
+    return ["predict", "--checkpoint", str(root / "run" / "checkpoint.npz"), "--signal", str(path)]
+
+
 def _predict_with(*flags):
     """Rows that predict from the workspace checkpoint with flags that change
     a config section the checkpoint fixes."""
@@ -464,7 +496,11 @@ def _first_set_to(value):
         _garbage_checkpoint, _truncated_checkpoint, _nan_feature_row, _bad_sigmas,
         _cyclic_checkpoint, _list_header_checkpoint, _nan_feature_row_train, _non_numeric_feature,
         _unknown_forest_key, _json_array_config, _negative_seed_train,
-        _eval_labels_alone, _features_and_signal,
+        _eval_labels_alone, _features_and_signal, _unclosed_quote_signal,
+        _huge_field_signal,
+        _scaled_signal(1e80),
+        _scaled_signal(1e160),
+        _scaled_signal(1e-150),
         _predict_with("--profile", "pronostia"),
         _predict_with("--set", "forest.clamp_unit=false"),
         _short_labels("--labels"),

@@ -253,6 +253,70 @@ class TestParserDivergence:
         assert dataio.read_labels_csv(tmp_path / "l.csv").tobytes() == X[:, 0].tobytes()
 
 
+class TestQuoting:
+    """A quote must close on the line it opens, right before a comma or the
+    line end; otherwise the reader names the line where the quote opens."""
+
+    _write = staticmethod(TestParserDivergence._write)
+
+    @pytest.mark.parametrize("end", ["", "\n"])
+    def test_unterminated_quote_at_end_of_file(self, tmp_path, end):
+        sig = self._write(tmp_path, "sig.csv", f'# h\nt,ch1\n0,1.0\n1,"2.5{end}')
+        with pytest.raises(InputError, match=r"sig.csv:4: malformed row \(unexpected end of data\)"):
+            dataio.read_signal_csv(sig, 100.0)
+        feats = self._write(tmp_path, "f.csv", f'window_index,a\n0,0.5\n1,"0.7{end}')
+        with pytest.raises(InputError, match=r"f.csv:3: malformed row"):
+            dataio.read_features_csv(feats)
+        labels = self._write(tmp_path, "l.csv", f'rul\n0.5\n"0.7{end}')
+        with pytest.raises(InputError, match=r"l.csv:3: malformed row"):
+            dataio.read_labels_csv(labels)
+
+    def test_field_spanning_lines_named_where_it_opens(self, tmp_path):
+        path = self._write(tmp_path, "sig.csv", '# h\n1.0,2.0\n"3.0\n",4.0\n5.0,abc\n')
+        with pytest.raises(InputError, match=r"sig.csv:3: quoted field spans lines"):
+            dataio.read_signal_csv(path, 100.0)
+        feats = self._write(tmp_path, "f.csv", 'window_index,a\n0,"0.5\n"\n')
+        with pytest.raises(InputError, match=r"f.csv:2: quoted field spans lines"):
+            dataio.read_features_csv(feats)
+
+    def test_rows_after_a_quoted_field_keep_their_lines(self, tmp_path):
+        path = self._write(tmp_path, "sig.csv", '1.0,"2.0"\n\n3.0,4.0\n5.0,abc\n')
+        with pytest.raises(InputError, match=r"sig.csv:4: non-numeric value"):
+            dataio.read_signal_csv(path, 100.0)
+
+    @pytest.mark.parametrize("text", ['"t\n",ch1\n0,1.0\n', '"t,ch1\n', 't,"ch1" \n0,1.0\n'])
+    def test_bad_quote_in_signal_header(self, tmp_path, text):
+        path = self._write(tmp_path, "sig.csv", text)
+        with pytest.raises(InputError, match=r"sig.csv:1: "):
+            dataio.read_signal_csv(path, 100.0)
+
+    def test_bad_quote_in_first_data_row_after_header(self, tmp_path):
+        path = self._write(tmp_path, "sig.csv", 't,ch1\n0,"1.0" \n1,2.0\n')
+        with pytest.raises(InputError, match=r"sig.csv:2: malformed row"):
+            dataio.read_signal_csv(path, 100.0)
+
+    def test_bad_quote_in_feature_header(self, tmp_path):
+        path = self._write(tmp_path, "f.csv", '"window_index\n",a\n0,0.5\n')
+        with pytest.raises(InputError, match=r"f.csv:1: quoted field spans lines"):
+            dataio.read_features_csv(path)
+
+    @pytest.mark.parametrize("row", ['"1.0" ,2.0', '"1"2,3.0', '"1.0"\t,2.0'])
+    def test_text_after_a_closing_quote_rejected(self, tmp_path, row):
+        # before, these read as 1.0 (padding dropped) or 12.0 (text joined)
+        path = self._write(tmp_path, "sig.csv", f"0.5,0.5\n{row}\n")
+        with pytest.raises(InputError, match=r"sig.csv:2: malformed row \(',' expected after '\"'\)"):
+            dataio.read_signal_csv(path, 100.0)
+
+    def test_quote_fault_ordered_as_a_bad_value(self, tmp_path):
+        # the signal reader names a bad value before a ragged row, wherever it is
+        path = self._write(tmp_path, "sig.csv", '1.0,2.0\n3.0\n"5.0" ,1.0\n')
+        with pytest.raises(InputError, match=r"sig.csv:3: malformed row"):
+            dataio.read_signal_csv(path, 100.0)
+        feats = self._write(tmp_path, "f.csv", 'window_index,a\n0,0.5,0.7\n1,"0.5" \n')
+        with pytest.raises(InputError, match=r"f.csv:2: 3 values, header has 2"):
+            dataio.read_features_csv(feats)
+
+
 def test_predictions_csv(tmp_path):
     path = tmp_path / "p.csv"
     dataio.write_predictions_csv(path, [0, 1], [1.0, 0.5], [0.9, 0.6], "h")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from carle.cwt import build_scale_grid, transform
 from carle.errors import DegenerateWindowError, InputError
 from carle.features import (
+    BLOCK_ROWS,
     ExtractionConfig,
     FEATURE_NAMES,
     channel_feature_names,
@@ -15,8 +17,15 @@ from carle.features import (
     extract_features,
     feature_matrix,
     moments,
+    window_channel_features,
 )
-from carle.signal import MultiChannelSignal, SynthConfig, synth_run_to_failure
+from carle.signal import (
+    MultiChannelSignal,
+    SynthConfig,
+    extract_windows,
+    gaussian_filter,
+    synth_run_to_failure,
+)
 
 FS = 2000.0
 
@@ -194,3 +203,136 @@ class TestExtractFeatures:
         assert any("degenerate" in rec.message for rec in caplog.records)
         # the all-constant first window is dropped; survivors keep their indices
         assert [v.window_index for v in vectors] == [1, 2, 3]
+
+
+class TestBatchedExtraction:
+    """extract_features transforms its window channels BLOCK_ROWS rows at a
+    time and reduces all rows at once; each window must come out as the
+    one-row case gives it, window by window."""
+
+    N = 64
+    CFG = ExtractionConfig(window_len=64, f_o=35.0, n_scales=16, sigma_g=0.5)
+    FS = 1024.0
+
+    def _reference(self, sig):
+        """Window indices, rows and warnings of a per-window featurisation."""
+        cfg = self.CFG
+        grid = build_scale_grid(cfg.f_o, self.FS, cfg.n_scales, cfg.center_freq)
+        windows = extract_windows(gaussian_filter(sig, cfg.sigma_g), cfg.window_len)
+        kept, rows, messages = [], [], []
+        for w_idx, window in enumerate(windows):
+            try:
+                row = np.concatenate(
+                    [window_channel_features(ch, grid, self.FS).as_array() for ch in window.samples]
+                )
+            except DegenerateWindowError as exc:
+                messages.append(f"skipping degenerate window {w_idx}: {exc}")
+                continue
+            kept.append(w_idx)
+            rows.append(row)
+        return kept, rows, messages
+
+    def _signal(self, rng, channels, n_windows):
+        """Random channels. With three or more windows, window 0 gets a
+        constant channel (before a zero one when there are three channels)
+        and the last window a zero channel (before a constant one). Each
+        planted run reaches past its window by more than the smoothing
+        radius, so the smoothed window channel is exactly constant."""
+        n = self.N
+        x = rng.normal(size=(channels, n_windows * n))
+        if n_windows < 3:
+            return MultiChannelSignal(x, self.FS), []
+        first, last = slice(0, n + 4), slice((n_windows - 1) * n - 4, None)
+        if channels == 1:
+            x[0, first], x[0, last] = 1.0, 0.0
+        else:
+            x[1, first], x[2, first] = 1.0, 0.0
+            x[0, last], x[1, last] = 0.0, 1.0
+        return MultiChannelSignal(x, self.FS), [(0, "constant window"), (n_windows - 1, "zero-energy window")]
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("n_windows", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    def test_rows_and_skips_match_per_window_reference(self, rng, caplog, channels, n_windows):
+        # with one channel the window-channel count is 1, one block, one
+        # block plus one and two blocks plus one; with three channels the
+        # blocks also cut through windows
+        sig, planted = self._signal(rng, channels, n_windows)
+        kept, rows, messages = self._reference(sig)
+        with caplog.at_level("WARNING", logger="carle.features"):
+            vectors = extract_features(sig, self.CFG)
+        assert [v.window_index for v in vectors] == kept
+        for v, row in zip(vectors, rows):
+            np.testing.assert_allclose(v.values, row, rtol=1e-12, atol=0.0)
+        assert [r.getMessage() for r in caplog.records if r.name == "carle.features"] == messages
+        assert len(messages) == len(planted)
+        for (w_idx, reason), message in zip(planted, messages):
+            assert message.startswith(f"skipping degenerate window {w_idx}: {reason}")
+
+    def test_one_row_case_matches_scalar_formulas(self, rng):
+        # the per-window arithmetic the batched reductions replaced
+        grid = _grid(16)
+        for x in rng.normal(size=(6, 128)) * rng.uniform(0.1, 10.0, size=(6, 1)):
+            c = transform(x, grid, FS).coefficients
+            e = np.array([np.sum(np.abs(row) ** 2) for row in c])
+            p = e / e.sum()
+            d = x - x.mean()
+            var = np.mean(d**2)
+            want = [
+                math.log(e.sum()),
+                grid.freqs_hz[int(np.argmax(e))],
+                -np.sum(p[p > 0] * np.log(p[p > 0])),
+                np.mean(d**4) / var**2,
+                np.mean(d**3) / math.sqrt(var) ** 3,
+                x.mean(),
+                math.sqrt(var),
+            ]
+            got = window_channel_features(x, grid, FS).as_array()
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_block_transform_rows_equal_single_row_transforms(self, rng):
+        grid = _grid(12)
+        x = rng.normal(size=(5, 100))
+        block = transform(x, grid, FS).coefficients
+        assert block.shape == (5, 12, 100)
+        for row, coefficients in zip(x, block):
+            single = transform(row, grid, FS).coefficients
+            np.testing.assert_allclose(coefficients, single, rtol=1e-12, atol=0.0)
+
+    def test_reducers_over_rows_equal_single_rows(self, rng):
+        grid = _grid(12)
+        x = rng.normal(size=(3, 80))
+        scale_e, totals = energy(transform(x, grid, FS))
+        block_moments = moments(x)
+        for i, row in enumerate(x):
+            e, total = energy(transform(row, grid, FS))
+            np.testing.assert_allclose(scale_e[i], e, rtol=1e-12)
+            assert totals[i] == pytest.approx(total, rel=1e-12)
+            assert dominant_frequency(scale_e, grid, FS)[i] == dominant_frequency(e, grid, FS)
+            assert entropy(scale_e)[i] == pytest.approx(entropy(e), rel=1e-12)
+            np.testing.assert_allclose([m[i] for m in block_moments], moments(row), rtol=1e-12)
+
+    def test_degenerate_rows_do_not_raise_over_rows(self):
+        x = np.array([[1.0, -1.0, 1.0, -1.0], [2.0, 2.0, 2.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu, std, _, _ = moments(x)
+            h = entropy(np.zeros((2, 8)))
+        assert std.tolist() == [1.0, 0.0] and mu.tolist() == [0.0, 2.0]
+        assert h.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    def test_overflowing_features_refused_without_warnings(self, rng, scale):
+        sig = MultiChannelSignal(scale * rng.normal(size=(2, 4 * self.N)), self.FS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="window 0: features are not finite"):
+                extract_features(sig, self.CFG)
+
+
+def test_scale_grid_is_memoised_read_only():
+    grid = build_scale_grid(35.0, 1024.0, 16)
+    assert build_scale_grid(35.0, 1024.0, 16) is grid
+    assert build_scale_grid(35.0, 1024.0, 17) is not grid
+    for array in (grid.scales, grid.freqs_hz):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
