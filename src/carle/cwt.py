@@ -138,32 +138,21 @@ def cwt_scalogram(x, scales, phase_coeff, dt):
     return np.fft.ifft(product, axis=-1, out=product)[..., :n]
 
 
-@dataclass
-class Scalogram:
-    """Wavelet coefficients of one window channel, shape (n_scales, n), or of
-    a block of them, shape (m, n_scales, n).
-
-    Coefficients are not checked here: a non-finite one makes its scale's
-    energy non-finite, and ``features.extract_features`` refuses a window
-    whose features are not finite.
-    """
-
-    coefficients: np.ndarray
-    grid: ScaleGrid
-
-
 def transform(
     window_samples,
     grid: ScaleGrid,
     sample_rate_hz: float,
     two_pi_phase: bool = True,
-) -> Scalogram:
-    """Wavelet coefficients of one window channel, or of each row of an
-    (m, n) block of window channels, over the whole scale grid.
+) -> np.ndarray:
+    """Complex wavelet coefficients of one window channel, shape
+    (n_scales, n), or of each row of an (m, n) block of window channels,
+    shape (m, n_scales, n), over the whole scale grid.
 
     Coefficients carry 1/sqrt(scale) amplitude normalisation so per-scale
     energies are comparable; the signal is treated as zero outside the
-    window.
+    window. They are not checked here: a non-finite one makes its scale's
+    energy non-finite, and ``features.extract_features`` refuses a window
+    whose features are not finite.
     """
     x = np.asarray(window_samples, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -173,5 +162,4 @@ def transform(
     if grid.count < 2:
         raise ParameterError("scale grid is degenerate (fewer than 2 scales)")
     k = phase_coefficient(grid.center_freq, two_pi_phase)
-    coeff = cwt_scalogram(x, grid.scales, k, 1.0 / sample_rate_hz)
-    return Scalogram(coeff, grid)
+    return cwt_scalogram(x, grid.scales, k, 1.0 / sample_rate_hz)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cwt import DEFAULT_CENTER_FREQ, Scalogram, build_scale_grid, transform
+from .cwt import DEFAULT_CENTER_FREQ, build_scale_grid, transform
 from .errors import DegenerateWindowError, InputError, ParameterError
 from .signal import MultiChannelSignal, extract_windows, gaussian_filter
 
@@ -70,9 +70,10 @@ def channel_feature_names(n_channels: int) -> tuple:
     )
 
 
-def energy(scalogram: Scalogram):
-    """Per-scale energies and their totals: e[..., a] = sum_b |coef(..., a, b)|^2."""
-    parts = scalogram.coefficients.view(np.float64)  # real and imaginary parts interleaved
+def energy(coefficients):
+    """Per-scale energies of ``transform``'s coefficients and their totals:
+    e[..., a] = sum_b |coef(..., a, b)|^2."""
+    parts = coefficients.view(np.float64)  # real and imaginary parts interleaved
     scale_energies = np.einsum("...i,...i->...", parts, parts)
     return scale_energies, scale_energies.sum(axis=-1)
 
@@ -80,22 +81,17 @@ def energy(scalogram: Scalogram):
 def dominant_frequency(scale_energies, grid, sample_rate_hz: float):
     """Frequency of the scale with maximal energy, in Hz, per row of energies.
 
-    Ties break toward the smaller scale, i.e. the higher frequency. One row
-    of all-zero energies raises DegenerateWindowError.
+    Ties break toward the smaller scale, i.e. the higher frequency.
     """
     scale_energies = np.asarray(scale_energies, dtype=np.float64)
-    if scale_energies.ndim == 1 and scale_energies.sum() <= 0.0:
-        raise DegenerateWindowError("all scale energies are zero")
     return grid.freqs_hz[np.argmax(scale_energies, axis=-1)]
 
 
 def entropy(scale_energies):
     """Shannon entropy (natural log) of the normalised per-scale energies,
-    per row. One row of zero total energy raises DegenerateWindowError."""
+    per row; 0 for a row of zero total energy."""
     e = np.asarray(scale_energies, dtype=np.float64)
     total = e.sum(axis=-1, keepdims=True)
-    if e.ndim == 1 and total[0] <= 0.0:
-        raise DegenerateWindowError("zero total energy, entropy undefined")
     with np.errstate(divide="ignore", invalid="ignore"):
         p = e / total
         return -np.sum(np.where(p > 0.0, p * np.log(p), 0.0), axis=-1)
@@ -106,8 +102,7 @@ def moments(window_samples):
     or of each row of an (m, n) block of them.
 
     Kurtosis is the raw fourth-moment ratio (Gaussian -> 3). A constant
-    window has zero std, leaving skewness and kurtosis undefined: one window
-    raises DegenerateWindowError, a row of a block gets std 0.
+    window gets std 0, and its skewness and kurtosis are undefined (NaN).
     """
     x = np.asarray(window_samples, dtype=np.float64)
     m = x.shape[-1]
@@ -118,8 +113,6 @@ def moments(window_samples):
         centered = x - mu[..., None]
         sq = centered * centered
         var = sq.mean(axis=-1)
-        if x.ndim == 1 and var <= 0.0:
-            raise DegenerateWindowError(CONSTANT_WINDOW)
         std = np.sqrt(var)
         skew = (sq * centered).mean(axis=-1) / std**3
         kurt = (sq * sq).mean(axis=-1) / var**2
@@ -147,7 +140,8 @@ def _featurise(rows, grid, sample_rate_hz, two_pi_phase):
 
 def window_channel_features(samples, grid, sample_rate_hz, two_pi_phase=True) -> TfrFeatures:
     """All seven descriptors for one window channel: the one-row case of
-    ``extract_features``."""
+    ``extract_features``. A zero-energy or constant window raises
+    DegenerateWindowError with the reason ``extract_features`` logs."""
     rows = np.asarray(samples, dtype=np.float64)[None]
     values, reasons = _featurise(rows, grid, sample_rate_hz, two_pi_phase)
     if reasons[0]:
@@ -200,7 +194,10 @@ def extract_features(signal: MultiChannelSignal, config: ExtractionConfig = None
     names = channel_feature_names(n_channels)
     windows = extract_windows(gaussian_filter(signal, config.sigma_g), config.window_len, config.stride)
     rows = np.concatenate([w.samples for w in windows])  # one row per window channel
-    del windows  # the block holds every sample; free the copies before the transform
+    del windows  # the windows are views: free the smoothed signal before the transform
+    # a CSV-read signal is column-major, and so are its block's rows; the
+    # moments' rounding follows the layout, so make them C order
+    rows = np.ascontiguousarray(rows)
     values, reasons = _featurise(rows, grid, signal.sample_rate_hz, config.two_pi_phase)
     values = values.reshape(-1, len(FEATURE_NAMES) * n_channels)
     reasons = reasons.reshape(-1, n_channels).tolist()

@@ -1,11 +1,10 @@
-from .layers import Conv1d, Dense, Flatten, Lstm, MultiHeadAttention
+from .layers import Conv1d, Dense, Lstm, MultiHeadAttention
 from .model import PROFILES, CarleNet, ModelProfile, ResCnnUnit, get_profile
 from .train import RmsProp, TrainConfig, TrainReport, train
 
 __all__ = [
     "Conv1d",
     "Dense",
-    "Flatten",
     "Lstm",
     "MultiHeadAttention",
     "PROFILES",

@@ -30,8 +30,6 @@ def _fan_in_uniform(rng, shape, fan_in):
 
 
 class Layer:
-    name = "layer"
-
     def __init__(self):
         self.params = {}
         self.grads = {}
@@ -46,9 +44,6 @@ class Layer:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
-
-    def clear_cache(self):
-        pass
 
 
 class Dense(Layer):
@@ -83,9 +78,6 @@ class Dense(Layer):
         if "b" in self.params:
             self.grads["b"] += g2.sum(axis=0)
         return dout @ self.params["W"].T
-
-    def clear_cache(self):
-        self._x = None
 
 
 class Conv1d(Layer):
@@ -154,9 +146,6 @@ class Conv1d(Layer):
     def add_reg_grads(self):
         if self.l2:
             self.grads["W"] += self.l2 * self.params["W"]
-
-    def clear_cache(self):
-        self._x = None
 
 
 class Lstm(Layer):
@@ -246,9 +235,6 @@ class Lstm(Layer):
             stats[key] = (float(arr.min()), float(arr.max()))
         return stats
 
-    def clear_cache(self):
-        self._cache = None
-
 
 class MultiHeadAttention(Layer):
     """Scaled dot-product attention over time positions, multiple heads.
@@ -321,17 +307,3 @@ class MultiHeadAttention(Layer):
     def attention_weights(self):
         """Per-head attention rows from the last forward pass."""
         return self._cache[4]
-
-    def clear_cache(self):
-        self._cache = None
-
-
-class Flatten(Layer):
-    """(batch, time, features) -> (batch, time*features)."""
-
-    def forward(self, x):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dout):
-        return dout.reshape(self._shape)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError, ParameterError
-from .layers import Conv1d, Dense, Flatten, Lstm, MultiHeadAttention
+from .layers import Conv1d, Dense, Lstm, MultiHeadAttention
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,6 @@ class CarleNet:
             if use_mha
             else None
         )
-        self.flatten = Flatten()
 
         self.denses = []
         d_flat = profile.seq_len * d
@@ -277,10 +276,6 @@ class CarleNet:
                 raise InputError(f"parameter {name} has a non-finite value")
             arr[...] = src
 
-    def reset_states(self):
-        for layer in self._layers():
-            layer.clear_cache()
-
     # -- forward / backward -------------------------------------------------
 
     def forward(self, batch):
@@ -311,7 +306,7 @@ class CarleNet:
         if self.lstm_mha is not None:
             g = self.lstm_mha.forward(g)
 
-        z = self.flatten.forward(g)
+        z = g.reshape(len(g), -1)
         for dense in self.denses:
             z = dense.forward(z)
         logits = z
@@ -334,7 +329,7 @@ class CarleNet:
             dz = dz + dlogits
         for dense in reversed(self.denses):
             dz = dense.backward(dz)
-        dg = self.flatten.backward(dz)
+        dg = dz.reshape(len(dz), self.profile.seq_len, -1)
 
         if self.lstm_mha is not None:
             dg = self.lstm_mha.backward(dg)

@@ -1,5 +1,5 @@
-"""Network training: RMSProp updates, early stopping, LR plateau decay,
-best-weight checkpointing, and state resets between epochs."""
+"""Network training: RMSProp updates, early stopping, LR plateau decay and
+best-weight checkpointing."""
 
 import logging
 import math
@@ -99,6 +99,7 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
     """
     if config is None:
         config = TrainConfig()
+    config.validate()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if len(X) == 0:
@@ -126,13 +127,12 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
     best_weights = net.get_weights()
     epochs_since_best = 0
     plateau_counter = 0
-    k = max(1, config.batch_size)
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(X_train))
         aborted = False
-        for start in range(0, len(order), k):
-            batch = order[start:start + k]
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
             loss, _ = net.loss_and_grads(X_train[batch], y_train[batch])
             if not math.isfinite(loss):
                 if report.best_epoch < 0:
@@ -146,7 +146,6 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
             opt.step(net.flat_params, net.flat_grads)
         if aborted:
             break
-        net.reset_states()
 
         l_e, mae_e = _epoch_metrics(net, X_mon, y_mon)
         report.history["loss"].append(l_e)

@@ -212,8 +212,7 @@ def extract_matrix(signal: MultiChannelSignal, config: ExperimentConfig):
 
 
 def labels_for(config: ExperimentConfig, n_windows: int) -> np.ndarray:
-    lbl = make_labels(n_windows, config.labels.scheme, config.labels.knee_fraction)
-    return lbl.values
+    return make_labels(n_windows, config.labels.scheme, config.labels.knee_fraction)
 
 
 @dataclass

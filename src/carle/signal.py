@@ -125,7 +125,8 @@ def extract_windows(signal: MultiChannelSignal, window_len: int, stride: int | N
     """Cut the signal into windows at start indices 0, stride, 2*stride, ...
 
     The default stride equals the window length (non-overlapping). Samples
-    past the last full window are dropped.
+    past the last full window are dropped. Each window's samples are a view
+    of the signal's channels.
     """
     if stride is None:
         stride = window_len
@@ -135,12 +136,10 @@ def extract_windows(signal: MultiChannelSignal, window_len: int, stride: int | N
         raise InputError(
             f"window_len {window_len} exceeds signal length {signal.length}"
         )
-    windows = []
-    for start in range(0, signal.length - window_len + 1, stride):
-        windows.append(
-            Window(start, window_len, signal.channels[:, start:start + window_len].copy())
-        )
-    return windows
+    return [
+        Window(start, window_len, signal.channels[:, start:start + window_len])
+        for start in range(0, signal.length - window_len + 1, stride)
+    ]
 
 
 def inject_noise(signal: MultiChannelSignal, kind: str, params: dict, seed: int) -> MultiChannelSignal:

@@ -335,6 +335,29 @@ def _feature_csv_with(root, tmp_path, token):
     return path
 
 
+def _reversed_feature_rows(root, tmp_path):
+    # labels and sequences follow row order, so reversed rows would pair
+    # each window with another window's label
+    X, names, idx = read_features_csv(root / "feats.csv")
+    path = tmp_path / "reversed_feats.csv"
+    write_features_csv(path, X[::-1], names, idx[::-1])
+    return ["predict", "--checkpoint", str(root / "run" / "checkpoint.npz"), "--features", str(path)]
+
+
+_reversed_feature_rows.names = "reversed_feats.csv:3"
+
+
+def _duplicate_window_index_train(root, tmp_path):
+    X, names, idx = read_features_csv(root / "feats.csv")
+    idx[4] = idx[3]
+    path = tmp_path / "duplicate_feats.csv"
+    write_features_csv(path, X, names, idx)
+    return ["train", "--features", str(path), "--labels", str(root / "labels.csv")]
+
+
+_duplicate_window_index_train.names = "duplicate_feats.csv:6"
+
+
 def _nan_feature_row_train(root, tmp_path):
     path = _feature_csv_with(root, tmp_path, "nan")
     return ["train", "--features", str(path), "--labels", str(root / "labels.csv")]
@@ -495,6 +518,7 @@ def _first_set_to(value):
     [
         _garbage_checkpoint, _truncated_checkpoint, _nan_feature_row, _bad_sigmas,
         _cyclic_checkpoint, _list_header_checkpoint, _nan_feature_row_train, _non_numeric_feature,
+        _reversed_feature_rows, _duplicate_window_index_train,
         _unknown_forest_key, _json_array_config, _negative_seed_train,
         _eval_labels_alone, _features_and_signal, _unclosed_quote_signal,
         _huge_field_signal,

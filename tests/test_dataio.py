@@ -97,6 +97,19 @@ class TestFeatureCsv:
         with pytest.raises(InputError, match=rf"f.csv:4: {reason}"):
             dataio.read_features_csv(path)
 
+    def test_window_index_gaps_allowed(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("window_index,a\n1,0.1\n4,0.2\n5,0.3\n")
+        assert dataio.read_features_csv(path)[2].tolist() == [1, 4, 5]
+
+    @pytest.mark.parametrize("indices, line", [("0,2,1", 5), ("0,0,0", 4), ("3,4,5,5", 6)])
+    def test_window_index_must_strictly_increase(self, tmp_path, indices, line):
+        rows = "".join(f"{i},0.5\n" for i in indices.split(","))
+        path = tmp_path / "f.csv"
+        path.write_text(f"# config_hash=h\nwindow_index,a\n{rows}")
+        with pytest.raises(InputError, match=rf"f.csv:{line}: window_index .* must strictly increase"):
+            dataio.read_features_csv(path)
+
 
 class TestLabelCsv:
     def test_round_trip(self, tmp_path):

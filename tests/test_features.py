@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from carle.cwt import build_scale_grid, transform
 from carle.errors import DegenerateWindowError, InputError
 from carle.features import (
     BLOCK_ROWS,
+    CONSTANT_WINDOW,
     ExtractionConfig,
     FEATURE_NAMES,
     channel_feature_names,
@@ -84,10 +86,6 @@ class TestDominantFrequency:
         e[2] = e[5] = 1.0
         assert dominant_frequency(e, grid, FS) == grid.freqs_hz[2]
 
-    def test_all_zero_is_degenerate(self):
-        with pytest.raises(DegenerateWindowError):
-            dominant_frequency(np.zeros(8), _grid(8), FS)
-
 
 class TestEntropy:
     def test_single_scale_zero(self):
@@ -110,16 +108,21 @@ class TestEntropy:
             h = entropy(e)
             assert 0.0 <= h <= math.log(n) + 1e-12
 
-    def test_zero_total_degenerate(self):
-        with pytest.raises(DegenerateWindowError):
-            entropy(np.zeros(4))
+
+class TestWindowChannelFeatures:
+    """window_channel_features is the one raiser for a degenerate window,
+    with the reason extract_features logs when it skips one."""
+
+    def test_all_zero_is_degenerate(self):
+        with pytest.raises(DegenerateWindowError, match="^zero-energy window$"):
+            window_channel_features(np.zeros(32), _grid(8), FS)
+
+    def test_constant_window_degenerate(self):
+        with pytest.raises(DegenerateWindowError, match=f"^{re.escape(CONSTANT_WINDOW)}$"):
+            window_channel_features([1.0, 1.0, 1.0, 1.0], _grid(8), FS)
 
 
 class TestMoments:
-    def test_constant_window_degenerate(self):
-        with pytest.raises(DegenerateWindowError):
-            moments([1.0, 1.0, 1.0, 1.0])
-
     def test_two_point_symmetric(self):
         mu, std, skew, kurt = moments([-1.0, 1.0, -1.0, 1.0])
         assert mu == 0.0
@@ -272,7 +275,7 @@ class TestBatchedExtraction:
         # the per-window arithmetic the batched reductions replaced
         grid = _grid(16)
         for x in rng.normal(size=(6, 128)) * rng.uniform(0.1, 10.0, size=(6, 1)):
-            c = transform(x, grid, FS).coefficients
+            c = transform(x, grid, FS)
             e = np.array([np.sum(np.abs(row) ** 2) for row in c])
             p = e / e.sum()
             d = x - x.mean()
@@ -292,10 +295,10 @@ class TestBatchedExtraction:
     def test_block_transform_rows_equal_single_row_transforms(self, rng):
         grid = _grid(12)
         x = rng.normal(size=(5, 100))
-        block = transform(x, grid, FS).coefficients
+        block = transform(x, grid, FS)
         assert block.shape == (5, 12, 100)
         for row, coefficients in zip(x, block):
-            single = transform(row, grid, FS).coefficients
+            single = transform(row, grid, FS)
             np.testing.assert_allclose(coefficients, single, rtol=1e-12, atol=0.0)
 
     def test_reducers_over_rows_equal_single_rows(self, rng):
@@ -319,6 +322,15 @@ class TestBatchedExtraction:
             h = entropy(np.zeros((2, 8)))
         assert std.tolist() == [1.0, 0.0] and mu.tolist() == [0.0, 2.0]
         assert h.tolist() == [0.0, 0.0]
+
+    def test_column_major_signal_gives_the_same_bits(self, rng):
+        # a CSV-read signal is a transpose; its windows are column-major views
+        x = rng.normal(size=(2, 4 * self.N))
+        rows = feature_matrix(extract_features(MultiChannelSignal(x, self.FS), self.CFG))
+        x_f = np.asfortranarray(x)
+        assert MultiChannelSignal(x_f, self.FS).channels.flags.f_contiguous
+        rows_f = feature_matrix(extract_features(MultiChannelSignal(x_f, self.FS), self.CFG))
+        assert rows_f.tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("scale", [1e80, 1e160])
     def test_overflowing_features_refused_without_warnings(self, rng, scale):

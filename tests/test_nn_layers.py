@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from carle.errors import ParameterError
-from carle.nn.layers import Conv1d, Dense, Flatten, Lstm, MultiHeadAttention, _sigmoid
+from carle.nn.layers import Conv1d, Dense, Lstm, MultiHeadAttention, _sigmoid
 from carle.nn.model import CarleNet, ResCnnUnit, get_profile
 from conftest import jiggle_biases, layer_gradcheck
 
@@ -168,13 +168,6 @@ class TestLstm:
         out = layer.forward(rng.normal(size=(2, 5, 3)))
         assert out.shape == (2, 5, 7)
 
-    def test_clear_cache(self, rng):
-        layer = Lstm(2, 3, rng, "l")
-        layer.forward(rng.normal(size=(1, 4, 2)))
-        assert layer._cache is not None
-        layer.clear_cache()
-        assert layer._cache is None
-
 
 def test_sigmoid_matches_clipped_formula_bit_for_bit(rng):
     big = np.finfo(float).max
@@ -216,15 +209,6 @@ class TestMultiHeadAttention:
     def test_model_dim_must_divide(self, rng):
         with pytest.raises(ParameterError):
             MultiHeadAttention(4, 3, 8, rng, "m")
-
-
-class TestFlatten:
-    def test_round_trip(self, rng):
-        layer = Flatten()
-        x = rng.normal(size=(3, 4, 5))
-        out = layer.forward(x)
-        assert out.shape == (3, 20)
-        assert np.array_equal(layer.backward(out), x)
 
 
 class _UnitWrapper:

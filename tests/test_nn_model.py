@@ -118,7 +118,7 @@ class TestAblationWiring:
         for unit in net.cnn_units:
             h = unit.forward(h)
         skip = net.lstm_proj.forward(h) if net.lstm_proj is not None else h
-        z = net.flatten.forward(skip)
+        z = skip.reshape(len(skip), -1)
         for dense in net.denses:
             z = dense.forward(z)
         expect = net.head.forward(z)[:, 0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carle.errors import InputError, NumericalError
+from carle.errors import InputError, NumericalError, ParameterError
 from carle.nn import CarleNet, RmsProp, TrainConfig, train
 
 
@@ -153,15 +153,28 @@ class TestTrain:
         report = train(net, X, y, cfg, seed=5)
         assert report.epochs_run == 10
 
-    def test_lstm_states_cleared_between_epochs(self, rng):
+    def test_forward_carries_no_state_between_calls(self, rng):
+        # LSTM states start at zero on every forward, so nothing from a
+        # previous batch reaches the next one
+        A, B = rng.normal(size=(4, 3, 6)), rng.normal(size=(7, 3, 6))
+        fresh = CarleNet(6, "gradcheck", seed=6).forward(A)
+        net = CarleNet(6, "gradcheck", seed=6)
+        net.forward(B)
+        for want, got in zip(fresh, net.forward(A)):
+            assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", -1.0), ("batch_size", 0), ("epochs", 0)],
+    )
+    def test_invalid_config_rejected_before_training(self, rng, field, value):
         X, y = _toy_data(rng, n=10)
         net = CarleNet(6, "gradcheck", seed=6)
-        cfg = TrainConfig(batch_size=5, learning_rate=1e-3, epochs=2)
-        train(net, X, y, cfg, seed=6)
-        # reset callback ran after the last epoch's updates
-        net.reset_states()
-        for lstm in net.lstms:
-            assert lstm._cache is None
+        before = net.get_weights()
+        cfg = TrainConfig(**{"batch_size": 5, "learning_rate": 1e-3, "epochs": 2, field: value})
+        with pytest.raises(ParameterError, match=f"training.{field}"):
+            train(net, X, y, cfg, seed=6)
+        assert np.array_equal(net.flat_params, before)
 
     def test_nan_loss_aborts_with_checkpoint(self, rng):
         X, y = _toy_data(rng, n=20)

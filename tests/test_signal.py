@@ -155,6 +155,7 @@ class TestExtractWindows:
         assert [w.start_index for w in wins] == [0, 3, 6]
         assert np.array_equal(wins[1].samples[0], [3.0, 4.0, 5.0, 6.0])
         assert np.array_equal(wins[1].samples[1], [6.0, 8.0, 10.0, 12.0])
+        assert all(np.shares_memory(w.samples, sig.channels) for w in wins)  # views, no copies
 
     def test_window_too_long(self):
         with pytest.raises(InputError):
