@@ -86,6 +86,14 @@ class TestDominantFrequency:
         e[2] = e[5] = 1.0
         assert dominant_frequency(e, grid, FS) == grid.freqs_hz[2]
 
+    def test_all_zero_is_degenerate(self):
+        # a zero-energy row has no dominant scale: the reducer falls to the
+        # first (smallest) scale, and the window itself is refused
+        grid = _grid(8)
+        assert dominant_frequency(np.zeros(8), grid, FS) == grid.f_max_hz
+        with pytest.raises(DegenerateWindowError, match="^zero-energy window$"):
+            window_channel_features(np.zeros(32), grid, FS)
+
 
 class TestEntropy:
     def test_single_scale_zero(self):
@@ -107,6 +115,16 @@ class TestEntropy:
             e[int(rng.integers(n))] += 1e-6
             h = entropy(e)
             assert 0.0 <= h <= math.log(n) + 1e-12
+
+    def test_zero_total_degenerate(self):
+        # entropy reads 0 for a zero-total row without warnings; the window
+        # itself is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert entropy(np.zeros(4)) == 0.0
+            assert np.array_equal(entropy(np.zeros((3, 4))), np.zeros(3))
+        with pytest.raises(DegenerateWindowError, match="^zero-energy window$"):
+            window_channel_features(np.zeros(32), _grid(8), FS)
 
 
 class TestWindowChannelFeatures:
