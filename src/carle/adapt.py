@@ -56,7 +56,6 @@ class CoralTransform:
     target_mean: np.ndarray
     source_whitener: np.ndarray  # C_s^{-1/2}
     target_colorer: np.ndarray  # C_t^{1/2}
-    ridge: float
 
 
 def _sym_power(cov, power: float, floor: float):
@@ -98,7 +97,6 @@ def coral_fit(source, target, ridge: float = 1e-8) -> CoralTransform:
         target_mean=mu_t,
         source_whitener=_sym_power(c_s, -0.5, floor),
         target_colorer=_sym_power(c_t, 0.5, floor),
-        ridge=ridge,
     )
 
 

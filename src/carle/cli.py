@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 usage/input error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -118,17 +119,12 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _train_and_report(X, y, config, variant):
-    model = pipeline.train_model(X, y, config, variant)
-    y_pred = model.predict(X)
-    report = MetricReport.compute(y, y_pred)
-    return model, y_pred, report
-
-
 def cmd_train(args) -> int:
     config = resolve_config(args)
     X, y, _, idx = _load_features(args, config)
-    model, y_pred, report = _train_and_report(X, y, config, args.variant)
+    model = pipeline.train_model(X, y, config, args.variant)
+    y_pred = model.predict(X)
+    report = MetricReport.compute(y, y_pred)
 
     out_dir = dataio.ensure_dir(args.out_dir)
     chash = config.config_hash()
@@ -203,11 +199,7 @@ def cmd_crossdomain(args) -> int:
     payload = {
         "aligned": MetricReport.compute(target_y, aligned).to_dict(),
         "unaligned": MetricReport.compute(target_y, unaligned).to_dict(),
-        "adapt": {
-            "space": config.adapt.space,
-            "pca_components": config.adapt.pca_components,
-            "ridge": config.adapt.ridge,
-        },
+        "adapt": dataclasses.asdict(config.adapt),
     }
     dataio.write_metrics_json(args.out, payload, config.config_hash())
     print(

@@ -195,9 +195,6 @@ def extract_features(signal: MultiChannelSignal, config: ExtractionConfig = None
     windows = extract_windows(gaussian_filter(signal, config.sigma_g), config.window_len, config.stride)
     rows = np.concatenate([w.samples for w in windows])  # one row per window channel
     del windows  # the windows are views: free the smoothed signal before the transform
-    # a CSV-read signal is column-major, and so are its block's rows; the
-    # moments' rounding follows the layout, so make them C order
-    rows = np.ascontiguousarray(rows)
     values, reasons = _featurise(rows, grid, signal.sample_rate_hz, config.two_pi_phase)
     values = values.reshape(-1, len(FEATURE_NAMES) * n_channels)
     reasons = reasons.reshape(-1, n_channels).tolist()

@@ -313,20 +313,12 @@ class CarleNet:
         pred = self.head.forward(logits)[:, 0]
         return logits, pred
 
-    def backward(self, dpred=None, dlogits=None):
+    def backward(self, dpred):
         """Back-propagate gradients of a scalar loss; accumulates into grads.
 
-        dpred is the gradient w.r.t. the scalar head output (shape (n,));
-        dlogits, if given, adds gradient flowing directly into the logit
-        vector.
+        dpred is the gradient w.r.t. the scalar head output (shape (n,)).
         """
-        if dpred is None and dlogits is None:
-            raise InputError("backward needs dpred and/or dlogits")
-        dz = 0.0
-        if dpred is not None:
-            dz = self.head.backward(np.asarray(dpred)[:, None])
-        if dlogits is not None:
-            dz = dz + dlogits
+        dz = self.head.backward(np.asarray(dpred)[:, None])
         for dense in reversed(self.denses):
             dz = dense.backward(dz)
         dg = dz.reshape(len(dz), self.profile.seq_len, -1)

@@ -18,11 +18,12 @@ from . import schema
 from .checkpoint import Scaler, load_checkpoint, save_checkpoint
 from .errors import InputError, ParameterError
 from .features import ExtractionConfig, extract_features, feature_matrix
-from .labels import make_labels
+from .labels import LabelConfig, make_labels
 from .metrics import MetricReport
 from .nn.model import CarleNet, get_profile
 from .nn.train import TrainConfig, train
-from .signal import MultiChannelSignal, SynthConfig, SynthProfile, inject_noise, synth_run_to_failure
+from .signal import (MultiChannelSignal, NoiseConfig, SynthConfig, SynthProfile, inject_noise,
+                     synth_run_to_failure)
 
 VARIANTS = ("carle", "carl", "crle", "cale")
 
@@ -39,23 +40,12 @@ def derive_seed(root_seed: int, stream: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Configuration sections no other module owns. The extraction, training,
-# forest and synth sections are features.ExtractionConfig,
-# nn.train.TrainConfig, forest.ForestConfig and signal.SynthProfile;
-# synth_config() resolves the synth section into a signal.SynthConfig.
+# A config section lives in the module of the function that reads it:
+# features.ExtractionConfig, labels.LabelConfig, nn.train.TrainConfig,
+# forest.ForestConfig, signal.NoiseConfig and signal.SynthProfile (which
+# synth_config() resolves into a signal.SynthConfig). The model and adapt
+# sections are read here, by build_model and align_features.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LabelSection:
-    scheme: str = "linear"
-    knee_fraction: float = 0.6
-
-    def validate(self):
-        if self.scheme not in ("linear", "piecewise"):
-            raise ParameterError(f"labels.scheme must be linear or piecewise, got {self.scheme!r}")
-        if self.scheme == "piecewise" and not 0.0 < self.knee_fraction < 1.0:
-            raise ParameterError(f"labels.knee_fraction must be in (0,1), got {self.knee_fraction}")
 
 
 @dataclass
@@ -74,26 +64,6 @@ class ModelSection:
             raise ParameterError(f"model.seq_len must be >= 1, got {self.seq_len}")
         if self.z_clip <= 0:
             raise ParameterError(f"model.z_clip must be positive, got {self.z_clip}")
-
-
-@dataclass
-class NoiseSection:
-    gaussian_mean: float = 0.0
-    gaussian_std: float = 0.1
-    salt_pepper_fraction: float = 0.1
-    salt_pepper_amplitude: float = 0.5
-
-    def validate(self):
-        if self.gaussian_std < 0:
-            raise ParameterError(f"noise.gaussian_std must be >= 0, got {self.gaussian_std}")
-        if not 0.0 <= self.salt_pepper_fraction <= 1.0:
-            raise ParameterError(
-                f"noise.salt_pepper_fraction must be in [0,1], got {self.salt_pepper_fraction}"
-            )
-        if self.salt_pepper_amplitude <= 0:
-            raise ParameterError(
-                f"noise.salt_pepper_amplitude must be positive, got {self.salt_pepper_amplitude}"
-            )
 
 
 @dataclass
@@ -117,11 +87,11 @@ class ExperimentConfig:
     sample_rate_hz: float = 1024.0
     snr_cap_db: float = 120.0
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
-    labels: LabelSection = field(default_factory=LabelSection)
+    labels: LabelConfig = field(default_factory=LabelConfig)
     model: ModelSection = field(default_factory=ModelSection)
     training: TrainConfig = field(default_factory=TrainConfig)
     forest: forest_mod.ForestConfig = field(default_factory=forest_mod.ForestConfig)
-    noise: NoiseSection = field(default_factory=NoiseSection)
+    noise: NoiseConfig = field(default_factory=NoiseConfig)
     synth: SynthProfile = field(default_factory=SynthProfile)
     adapt: AdaptSection = field(default_factory=AdaptSection)
 
@@ -212,7 +182,7 @@ def extract_matrix(signal: MultiChannelSignal, config: ExperimentConfig):
 
 
 def labels_for(config: ExperimentConfig, n_windows: int) -> np.ndarray:
-    return make_labels(n_windows, config.labels.scheme, config.labels.knee_fraction)
+    return make_labels(n_windows, config.labels)
 
 
 @dataclass
@@ -372,17 +342,14 @@ def align_features(source_X, target_X, config: ExperimentConfig) -> np.ndarray:
 
 def crossdomain_predictions(model: TrainedModel, source_X, target_X, config: ExperimentConfig):
     """(aligned, unaligned) predictions of a source-trained model on target features."""
-    unaligned = model.predict(target_X)
     if config.adapt.space == "logit":
-        logit_s = model.logits(source_X)
-        logit_t = model.logits(target_X)
-        aligned_logits = align_features(logit_s, logit_t, config)
         if model.forest is None:
             raise InputError("logit-space alignment needs a forest-bearing checkpoint")
-        aligned = model.forest.predict(aligned_logits)
+        logits = align_features(model.logits(source_X), model.logits(target_X), config)
+        aligned = model.forest.predict(logits)
     else:
         aligned = model.predict(align_features(source_X, target_X, config))
-    return aligned, unaligned
+    return aligned, model.predict(target_X)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +368,10 @@ def noise_reports(model: TrainedModel, signal: MultiChannelSignal, config: Exper
             {"fraction": n.salt_pepper_fraction, "amplitude": n.salt_pepper_amplitude},
         ),
     }
+    seed = derive_seed(config.seed, "noise")
     out = {}
     for name, (kind, params) in cases.items():
-        sig = signal if kind is None else inject_noise(
-            signal, kind, params, derive_seed(config.seed, "noise")
-        )
+        sig = signal if kind is None else inject_noise(signal, kind, n, seed)
         X, _, _ = extract_matrix(sig, config)
         y_true = labels_for(config, len(X))
         y_pred = model.predict(X)

@@ -13,17 +13,20 @@ from .errors import InputError, ParameterError
 class MultiChannelSignal:
     """Raw or filtered vibration series, one row per channel.
 
-    channels has shape (channel_count, length); all channels share the
-    sampling rate.
+    channels has shape (channel_count, length) and holds finite float64
+    samples in C order, so a signal read from a CSV rounds like one made in
+    memory; all channels share the sampling rate.
     """
 
     channels: np.ndarray
     sample_rate_hz: float
 
     def __post_init__(self):
-        self.channels = np.atleast_2d(np.asarray(self.channels, dtype=np.float64))
+        self.channels = np.ascontiguousarray(np.atleast_2d(self.channels), dtype=np.float64)
         if self.channels.size == 0 or self.channels.shape[1] < 1:
             raise InputError("signal must contain at least one sample per channel")
+        if not np.isfinite(self.channels).all():
+            raise InputError("signal has a non-finite sample (NaN or inf)")
         if not self.sample_rate_hz > 0:
             raise ParameterError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
 
@@ -142,41 +145,54 @@ def extract_windows(signal: MultiChannelSignal, window_len: int, stride: int | N
     ]
 
 
-def inject_noise(signal: MultiChannelSignal, kind: str, params: dict, seed: int) -> MultiChannelSignal:
+@dataclass
+class NoiseConfig:
+    """Parameters of inject_noise, and the ``noise`` section of a config."""
+
+    gaussian_mean: float = 0.0
+    gaussian_std: float = 0.1
+    salt_pepper_fraction: float = 0.1
+    salt_pepper_amplitude: float = 0.5
+
+    def validate(self):
+        if self.gaussian_std < 0:
+            raise ParameterError(f"noise.gaussian_std must be >= 0, got {self.gaussian_std}")
+        if not 0.0 <= self.salt_pepper_fraction <= 1.0:
+            raise ParameterError(
+                f"noise.salt_pepper_fraction must be in [0,1], got {self.salt_pepper_fraction}"
+            )
+        if self.salt_pepper_amplitude <= 0:
+            raise ParameterError(
+                f"noise.salt_pepper_amplitude must be positive, got {self.salt_pepper_amplitude}"
+            )
+
+
+def inject_noise(signal: MultiChannelSignal, kind: str, config: NoiseConfig, seed: int) -> MultiChannelSignal:
     """Corrupt a signal with 'gaussian' or 'salt_pepper' noise, reproducibly.
 
-    gaussian: adds i.i.d. N(mean, std^2) samples.
-    salt_pepper: replaces an exact per-channel fraction of points, chosen
-    without replacement, with values amplitude*range beyond the channel
-    min/max (equal probability low/high).
+    gaussian: adds i.i.d. N(gaussian_mean, gaussian_std^2) samples.
+    salt_pepper: replaces an exact per-channel salt_pepper_fraction of
+    points, chosen without replacement, with values salt_pepper_amplitude *
+    range beyond the channel min/max (equal probability low/high).
     """
+    config.validate()
     rng = np.random.default_rng(seed)
     out = signal.channels.copy()
     if kind == "gaussian":
-        mean = float(params.get("mean", 0.0))
-        std = float(params.get("std", 0.1))
-        if std < 0:
-            raise ParameterError(f"gaussian std must be >= 0, got {std}")
-        if std > 0 or mean != 0.0:
-            out = out + rng.normal(mean, std if std > 0 else 0.0, size=out.shape)
+        if config.gaussian_std > 0 or config.gaussian_mean != 0.0:
+            out = out + rng.normal(config.gaussian_mean, config.gaussian_std, size=out.shape)
     elif kind == "salt_pepper":
-        fraction = float(params.get("fraction", 0.1))
-        amplitude = float(params.get("amplitude", 0.5))
-        if not 0.0 <= fraction <= 1.0:
-            raise ParameterError(f"salt_pepper fraction must be in [0,1], got {fraction}")
-        if amplitude <= 0:
-            raise ParameterError(f"salt_pepper amplitude must be positive, got {amplitude}")
         n = signal.length
-        n_replace = int(round(fraction * n))
+        n_replace = int(round(config.salt_pepper_fraction * n))
         for c in range(signal.channel_count):
             if n_replace == 0:
                 continue
             lo = float(out[c].min())
             hi = float(out[c].max())
-            spread = hi - lo
+            reach = config.salt_pepper_amplitude * (hi - lo)
             idx = rng.choice(n, size=n_replace, replace=False)
             high = rng.random(n_replace) < 0.5
-            out[c, idx] = np.where(high, hi + amplitude * spread, lo - amplitude * spread)
+            out[c, idx] = np.where(high, hi + reach, lo - reach)
     else:
         raise ParameterError(f"unknown noise kind {kind!r} (use 'gaussian' or 'salt_pepper')")
     return MultiChannelSignal(out, signal.sample_rate_hz)

@@ -486,22 +486,54 @@ def _synth_with(flag):
     return pytest.param(make_args, id=flag)
 
 
+def _carl_members(root):
+    """The members of a 'carl' (forest-less) copy of the workspace checkpoint."""
+    with np.load(root / "run" / "checkpoint.npz") as data:
+        members = {name: data[name] for name in data.files if not name.startswith("forest::")}
+    meta = json.loads(bytes(members["meta"]).decode())
+    meta.update(variant="carl", has_forest=False)
+    members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    return members
+
+
 def _bad_member(member, edit, what):
     """Rows that predict from a 'carl' copy of the workspace checkpoint, with
     ``member`` replaced by ``edit(member)``. Without the forest a bad network
     weight or scaler value reaches the predictions."""
     def make_args(root, tmp_path):
         path = tmp_path / "bad_member.npz"
-        with np.load(root / "run" / "checkpoint.npz") as data:
-            members = {name: data[name] for name in data.files if not name.startswith("forest::")}
-        meta = json.loads(bytes(members["meta"]).decode())
-        meta.update(variant="carl", has_forest=False)
-        members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        members = _carl_members(root)
         members[member] = edit(members[member])
         np.savez_compressed(path, **members)
         return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
 
     return pytest.param(make_args, id=f"{member}={what}")
+
+
+def _logit_space_without_forest(root, tmp_path):
+    path = tmp_path / "carl.npz"
+    np.savez_compressed(path, **_carl_members(root))
+    feats = str(root / "feats.csv")
+    return [
+        "crossdomain", "--checkpoint", str(path), "--source-features", feats,
+        "--target-features", feats, "--set", "adapt.space=logit",
+    ]
+
+
+_logit_space_without_forest.names = "forest"
+
+
+def _noise_set(override):
+    """Rows that run noise with one --set value whose noise leaves the
+    float range, so the noisy signal has a non-finite sample."""
+    def make_args(root, tmp_path):
+        return [
+            "noise", "--checkpoint", str(root / "run" / "checkpoint.npz"),
+            "--signal", str(root / "sig.csv"), "--set", override,
+        ]
+
+    make_args.names = "non-finite sample"
+    return pytest.param(make_args, id=override)
 
 
 def _first_set_to(value):
@@ -553,6 +585,9 @@ def _first_set_to(value):
         _bad_member("scaler::mean", _first_set_to(np.nan), "nan"),
         _bad_member("scaler::std", lambda a: a[:3], "3-long"),
         _bad_member("scaler::std", lambda a: a.astype(str), "str"),
+        _logit_space_without_forest,
+        _noise_set("noise.salt_pepper_amplitude=1e308"),
+        _noise_set("noise.gaussian_std=1e308"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):

@@ -342,11 +342,11 @@ class TestBatchedExtraction:
         assert h.tolist() == [0.0, 0.0]
 
     def test_column_major_signal_gives_the_same_bits(self, rng):
-        # a CSV-read signal is a transpose; its windows are column-major views
+        # a CSV-read signal is a transpose; the signal stores it in C order
         x = rng.normal(size=(2, 4 * self.N))
         rows = feature_matrix(extract_features(MultiChannelSignal(x, self.FS), self.CFG))
         x_f = np.asfortranarray(x)
-        assert MultiChannelSignal(x_f, self.FS).channels.flags.f_contiguous
+        assert MultiChannelSignal(x_f, self.FS).channels.flags.c_contiguous
         rows_f = feature_matrix(extract_features(MultiChannelSignal(x_f, self.FS), self.CFG))
         assert rows_f.tobytes() == rows.tobytes()
 

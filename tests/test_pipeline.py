@@ -5,6 +5,7 @@ import pytest
 
 from carle import cli
 from carle.checkpoint import Scaler, load_checkpoint
+from carle.dataio import read_signal_csv, write_signal_csv
 from carle.errors import InputError, ParameterError
 from carle.metrics import MetricReport
 from carle.nn.model import get_profile
@@ -23,7 +24,7 @@ from carle.pipeline import (
     train_model,
     variant_flags,
 )
-from carle.signal import SynthConfig
+from carle.signal import SynthConfig, snr_sweep
 
 
 def tiny_config(**overrides):
@@ -384,3 +385,14 @@ class TestNoiseReports:
         reports = noise_reports(model, sig, config)
         assert reports["clean"]["mae"] == reports["gaussian"]["mae"]
         assert reports["clean"]["rmse"] == reports["gaussian"]["rmse"]
+
+
+def test_snr_sweep_of_a_csv_read_signal_matches_memory(tmp_path):
+    # a CSV-read signal is a transpose of the parsed rows
+    sig, _ = synth_signal(ExperimentConfig(seed=7))
+    path = tmp_path / "sig.csv"
+    write_signal_csv(path, sig)
+    read = read_signal_csv(path, sig.sample_rate_hz)
+    assert np.array_equal(read.channels, sig.channels)
+    sigmas = np.arange(0.25, 2.01, 0.25)
+    assert snr_sweep(read, sigmas) == snr_sweep(sig, sigmas)

@@ -5,6 +5,7 @@ from carle.errors import InputError, ParameterError
 from carle.signal import (
     GaussianKernel,
     MultiChannelSignal,
+    NoiseConfig,
     SynthConfig,
     extract_windows,
     gaussian_filter,
@@ -165,7 +166,7 @@ class TestExtractWindows:
 class TestInjectNoise:
     def test_gaussian_zero_std_identity(self):
         sig = _sig([[1.0, -2.0, 3.0, 0.5]])
-        out = inject_noise(sig, "gaussian", {"mean": 0.0, "std": 0.0}, seed=3)
+        out = inject_noise(sig, "gaussian", NoiseConfig(gaussian_mean=0.0, gaussian_std=0.0), seed=3)
         assert np.array_equal(out.channels, sig.channels)
 
     def test_gaussian_variance_additivity(self):
@@ -175,20 +176,24 @@ class TestInjectNoise:
         x = rng.normal(size=n)
         x /= x.std()
         sig = _sig([x])
-        out = inject_noise(sig, "gaussian", {"mean": 0.0, "std": 0.1}, seed=77)
+        out = inject_noise(sig, "gaussian", NoiseConfig(gaussian_mean=0.0, gaussian_std=0.1), seed=77)
         assert abs(out.channels[0].var() - 1.01) < 0.005
 
     def test_salt_pepper_exact_count(self):
         n = 10_000
         rng = np.random.default_rng(1)
         sig = _sig([rng.normal(size=n)])
-        out = inject_noise(sig, "salt_pepper", {"fraction": 0.1, "amplitude": 0.5}, seed=5)
+        out = inject_noise(
+            sig, "salt_pepper", NoiseConfig(salt_pepper_fraction=0.1, salt_pepper_amplitude=0.5), seed=5
+        )
         changed = np.sum(out.channels[0] != sig.channels[0])
         assert changed == 1000
 
     def test_salt_pepper_values_outside_range(self, rng):
         sig = _sig([rng.normal(size=500)])
-        out = inject_noise(sig, "salt_pepper", {"fraction": 0.2, "amplitude": 0.5}, seed=2)
+        out = inject_noise(
+            sig, "salt_pepper", NoiseConfig(salt_pepper_fraction=0.2, salt_pepper_amplitude=0.5), seed=2
+        )
         lo, hi = sig.channels[0].min(), sig.channels[0].max()
         spread = hi - lo
         replaced = out.channels[0][out.channels[0] != sig.channels[0]]
@@ -196,21 +201,21 @@ class TestInjectNoise:
 
     def test_seed_reproducible(self, rng):
         sig = _sig([rng.normal(size=256)])
-        a = inject_noise(sig, "salt_pepper", {"fraction": 0.1}, seed=11)
-        b = inject_noise(sig, "salt_pepper", {"fraction": 0.1}, seed=11)
+        a = inject_noise(sig, "salt_pepper", NoiseConfig(salt_pepper_fraction=0.1), seed=11)
+        b = inject_noise(sig, "salt_pepper", NoiseConfig(salt_pepper_fraction=0.1), seed=11)
         assert np.array_equal(a.channels, b.channels)
-        g1 = inject_noise(sig, "gaussian", {"std": 0.1}, seed=4)
-        g2 = inject_noise(sig, "gaussian", {"std": 0.1}, seed=4)
+        g1 = inject_noise(sig, "gaussian", NoiseConfig(gaussian_std=0.1), seed=4)
+        g2 = inject_noise(sig, "gaussian", NoiseConfig(gaussian_std=0.1), seed=4)
         assert np.array_equal(g1.channels, g2.channels)
 
     def test_bad_params(self):
         sig = _sig([[1.0, 2.0]])
         with pytest.raises(ParameterError):
-            inject_noise(sig, "salt_pepper", {"fraction": 1.5}, seed=0)
+            inject_noise(sig, "salt_pepper", NoiseConfig(salt_pepper_fraction=1.5), seed=0)
         with pytest.raises(ParameterError):
-            inject_noise(sig, "gaussian", {"std": -0.1}, seed=0)
+            inject_noise(sig, "gaussian", NoiseConfig(gaussian_std=-0.1), seed=0)
         with pytest.raises(ParameterError):
-            inject_noise(sig, "sparkle", {}, seed=0)
+            inject_noise(sig, "sparkle", NoiseConfig(), seed=0)
 
 
 class TestSynth:
