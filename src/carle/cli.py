@@ -1,7 +1,8 @@
 """Command-line harness: synth, extract, train, predict, ablate, noise,
 crossdomain, snr-sweep.
 
-Exit codes: 0 success, 2 usage/input error, 3 numerical failure.
+Exit codes: 0 success, 2 usage/input error (a file-system error included),
+3 numerical failure.
 """
 
 import argparse
@@ -122,11 +123,11 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     config = resolve_config(args)
     X, y, _, idx = _load_features(args, config)
+    out_dir = dataio.ensure_dir(args.out_dir)
     model = pipeline.train_model(X, y, config, args.variant)
     y_pred = model.predict(X)
     report = MetricReport.compute(y, y_pred)
 
-    out_dir = dataio.ensure_dir(args.out_dir)
     chash = config.config_hash()
     pipeline.save_model(out_dir / "checkpoint.npz", model, config)
     dataio.write_metrics_json(out_dir / "metrics.json", {"train": report.to_dict()}, chash)
@@ -308,8 +309,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, InputError, FileNotFoundError) as exc:
+    except (ParameterError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # str(exc) leads with "[Errno n]"; the path is what the user can act on
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

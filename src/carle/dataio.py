@@ -26,13 +26,19 @@ _PLAIN = b"0123456789.eE+-infatyINFATY, \t\r\n"
 
 
 def _data_lines(path) -> list[str]:
-    with open(path, newline="") as fh:
-        return [line for line in fh if line[0] != "#" and not line.isspace()]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [line for line in fh if line[0] != "#" and not line.isspace()]
+    except UnicodeDecodeError:
+        # only a line that is not UTF-8 changes when its bad bytes are replaced
+        with open(path, "rb") as fh:
+            line = next(k for k, raw in enumerate(fh, 1) if raw.decode(errors="replace").encode() != raw)
+        raise InputError(f"{path}:{line}: not UTF-8 text") from None
 
 
 def _line(path, row: int) -> str:
     """``path:line`` of data line ``row`` (0-based), for error messages."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         numbers = (k for k, line in enumerate(fh, 1) if line[0] != "#" and not line.isspace())
         return f"{path}:{next(itertools.islice(numbers, row, None))}"
 

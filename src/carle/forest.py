@@ -6,6 +6,8 @@ forest prediction is the exact arithmetic mean of the tree predictions.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -276,7 +278,13 @@ class Forest:
 
 
 def fit(logits, targets, config: ForestConfig, seed: int = 0) -> Forest:
-    """Train a forest on (logit matrix, target sequence), deterministically per seed."""
+    """Train a forest on (logit matrix, target sequence), deterministically per seed.
+
+    The trees grow in one contiguous block per usable CPU: forked workers
+    grow every block but the last, this process the last, and the blocks
+    join in tree order. With one CPU or one tree, other threads running or
+    no fork start method, every tree grows here. The arrays are
+    byte-identical either way."""
     X = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     y = np.asarray(targets, dtype=np.float64).ravel()
     if len(X) != len(y):
@@ -289,13 +297,39 @@ def fit(logits, targets, config: ForestConfig, seed: int = 0) -> Forest:
         raise ParameterError("forest.n_trees is unset; the pipeline sets it from the model profile")
     config.validate()
 
+    seqs = np.random.SeedSequence(seed).spawn(config.n_trees)
+    n_blocks = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(seqs))
+    if n_blocks < 2 or threading.active_count() > 1:
+        return _grow(X, y, config, seqs)
+    # imported here: they would add to every ``import carle``
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return _grow(X, y, config, seqs)
+    # each tree draws only from its own seed sequence, so a tree grown in a
+    # forked worker has the bytes it would have in process
+    cuts = [len(seqs) * b // n_blocks for b in range(n_blocks + 1)]
+    blocks = [seqs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(n_blocks - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_grow, X, y, config, block) for block in blocks[:-1]]
+        last = _grow(X, y, config, blocks[-1])
+        parts = [future.result() for future in futures] + [last]
+    tree_sizes = np.concatenate([np.diff(part.offsets) for part in parts])
+    return Forest(
+        *(np.concatenate([getattr(part, name) for part in parts]) for name in Forest.ARRAYS[:-1]),
+        np.concatenate([[0], tree_sizes.cumsum()]),
+        X.shape[1],
+        config,
+    )
+
+
+def _grow(X, y, config: ForestConfig, seqs) -> Forest:
+    """The forest of one tree per seed sequence of ``seqs``, in their order."""
     builder = _ForestBuilder(X, y, config)
     n = len(y)
-    for ts in np.random.SeedSequence(seed).spawn(config.n_trees):
+    for ts in seqs:
         rng = np.random.default_rng(ts)
-        if config.bootstrap:
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
+        idx = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
         builder.add_tree(idx, rng)
     return builder.finish(X.shape[1])

@@ -76,6 +76,9 @@ class TrainReport:
     best_loss: float = math.inf
     stopped_epoch: int = -1
     diverged: bool = False
+    # the training sequences' logit rows at the best epoch; None when a
+    # validation split is tracked instead
+    best_logits: np.ndarray | None = None
 
     @property
     def epochs_run(self) -> int:
@@ -83,9 +86,9 @@ class TrainReport:
 
 
 def _epoch_metrics(net, X, y):
-    _, pred = net.forward(X)
+    logits, pred = net.forward(X)
     resid = pred - y
-    return float(np.sqrt(np.mean(resid**2))), float(np.mean(np.abs(resid)))
+    return float(np.sqrt(np.mean(resid**2))), float(np.mean(np.abs(resid))), logits
 
 
 def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
@@ -93,7 +96,8 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
 
     Tracks RMSE (the per-epoch loss l_e) and MAE on the validation split
     when one is configured, otherwise on the training data. The weights at
-    the minimal tracked loss are restored into the net before returning. A
+    the minimal tracked loss are restored into the net before returning, and
+    without a validation split the report keeps their logit rows of ``X``. A
     non-finite loss aborts training, keeping the last good checkpoint.
     ``seed`` fixes the validation split and the per-epoch shuffles.
     """
@@ -147,7 +151,7 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
         if aborted:
             break
 
-        l_e, mae_e = _epoch_metrics(net, X_mon, y_mon)
+        l_e, mae_e, logits = _epoch_metrics(net, X_mon, y_mon)
         report.history["loss"].append(l_e)
         report.history["mae"].append(mae_e)
         report.history["lr"].append(opt.learning_rate)
@@ -156,6 +160,8 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
             report.best_loss = l_e
             report.best_epoch = epoch
             best_weights = net.get_weights()
+            if val_idx is None:
+                report.best_logits = logits
             epochs_since_best = 0
             plateau_counter = 0
         else:

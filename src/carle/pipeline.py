@@ -113,11 +113,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: invalid JSON config: {exc}") from exc
+            except UnicodeDecodeError:
+                raise InputError(f"{path}: config is not UTF-8 text") from None
         return cls.from_dict(doc, base)
 
     def to_dict(self) -> dict:
@@ -265,8 +267,11 @@ def train_model(X, y, config: ExperimentConfig, variant: str = "carle") -> Train
 
     trained_forest = None
     if forest_config is not None:
+        # without a validation split, training already ran the best weights
+        # over seqs
+        logits = report.best_logits if report.best_logits is not None else net.logits(seqs)
         trained_forest = forest_mod.fit(
-            net.logits(seqs), y, forest_config, seed=derive_seed(config.seed, "bootstrap")
+            logits, y, forest_config, seed=derive_seed(config.seed, "bootstrap")
         )
     return TrainedModel(net, trained_forest, scaler, report, variant, config)
 

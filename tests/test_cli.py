@@ -470,6 +470,47 @@ def _json_array_config(root, tmp_path):
     return ["extract", "--signal", str(root / "sig.csv"), "--config", str(path)]
 
 
+def _undecodable_features(root, tmp_path):
+    path = tmp_path / "undecodable_feats.csv"
+    lines = (root / "feats.csv").read_bytes().splitlines(keepends=True)
+    lines[4] = b"\xff" + lines[4]
+    path.write_bytes(b"".join(lines))
+    return ["predict", "--checkpoint", str(root / "run" / "checkpoint.npz"), "--features", str(path)]
+
+
+_undecodable_features.names = "undecodable_feats.csv:5"
+
+
+def _undecodable_config(root, tmp_path):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(b'{"seed": 3\xff}')
+    return ["extract", "--signal", str(root / "sig.csv"), "--config", str(path)]
+
+
+_undecodable_config.names = "undecodable.json"
+
+
+def _directory_checkpoint(root, tmp_path):
+    path = tmp_path / "checkpoint_dir"
+    path.mkdir()
+    return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
+
+
+_directory_checkpoint.names = "checkpoint_dir"
+
+
+def _out_dir_is_a_file(root, tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    return [
+        "train", "--features", str(root / "feats.csv"), "--labels", str(root / "labels.csv"),
+        "--out-dir", str(path),
+    ]
+
+
+_out_dir_is_a_file.names = "taken"
+
+
 def _extract_set(override):
     """Rows that run extract with one ill-typed or out-of-range --set value."""
     def make_args(root, tmp_path):
@@ -588,6 +629,7 @@ def _first_set_to(value):
         _logit_space_without_forest,
         _noise_set("noise.salt_pepper_amplitude=1e308"),
         _noise_set("noise.gaussian_std=1e308"),
+        _undecodable_features, _undecodable_config, _directory_checkpoint, _out_dir_is_a_file,
     ],
 )
 def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):
@@ -595,9 +637,11 @@ def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):
     out = tmp_path / "out.csv"
     args = make_args(root, tmp_path)
     out_flag = "--out-dir" if args[0] in ("train", "ablate") else "--out"
+    if out_flag not in args:  # a row may name its own bad output
+        args += [out_flag, str(out)]
     env = dict(os.environ, PYTHONPATH=str(Path(carle.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "carle.cli", *args, out_flag, str(out)],
+        [sys.executable, "-m", "carle.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
@@ -606,6 +650,18 @@ def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert getattr(make_args, "names", "") in lines[0]
     assert not out.exists()
+
+
+def test_train_refuses_its_out_dir_before_training(workspace, tmp_path, monkeypatch):
+    root, _ = workspace
+    taken = tmp_path / "taken"
+    taken.write_text("")
+
+    def train_model(*args, **kwargs):
+        raise AssertionError("trained before creating --out-dir")
+
+    monkeypatch.setattr(pipeline, "train_model", train_model)
+    assert run_cli("train", "--features", str(root / "feats.csv"), "--out-dir", str(taken)) == 2
 
 
 class TestConfigFilePrecedence:

@@ -1,5 +1,9 @@
 import dataclasses
 import hashlib
+import multiprocessing
+import os
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -172,6 +176,90 @@ def test_forest_bytes_pinned(kind, options, seed, nodes, digest):
         h.update(getattr(model, name).tobytes())
     assert len(model.feature) == nodes
     assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(*test_forest_bytes_pinned.pytestmark[0].args)
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_forest_bytes_pinned_at_any_cpu_count(monkeypatch, cpus, kind, options, seed, nodes, digest):
+    """The pins hold whether the trees grow in this process or in forked workers."""
+    _use_cpus(monkeypatch, cpus)
+    test_forest_bytes_pinned(kind, options, seed, nodes, digest)
+
+
+# ---------------------------------------------------------------------------
+# Growth in forked workers
+# ---------------------------------------------------------------------------
+
+
+def _use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _record_grower_pids(monkeypatch, path):
+    """Make every tree append the id of the process that grows it to ``path``;
+    forked workers inherit the patch."""
+    add_tree = forest._ForestBuilder.add_tree
+
+    def spy(self, idx, rng):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        add_tree(self, idx, rng)
+
+    monkeypatch.setattr(forest._ForestBuilder, "add_tree", spy)
+    return lambda: path.read_text().split()
+
+
+class TestForkedFit:
+    @pytest.mark.parametrize("n_trees", [1, 2, 7])
+    def test_forked_arrays_equal_in_process_arrays(self, rng, monkeypatch, n_trees):
+        X = rng.normal(size=(40, 5))
+        y = rng.uniform(0, 1, 40)
+        config = ForestConfig(n_trees=n_trees, min_samples_leaf=1)
+        _use_cpus(monkeypatch, 3)
+        forked = forest.fit(X, y, config, seed=9)
+        _use_cpus(monkeypatch, 1)
+        here = forest.fit(X, y, config, seed=9)
+        for name in Forest.ARRAYS:
+            a, b = getattr(forked, name), getattr(here, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert multiprocessing.active_children() == []
+
+    def test_workers_grow_all_but_the_last_block(self, rng, monkeypatch, tmp_path):
+        pids = _record_grower_pids(monkeypatch, tmp_path / "pids")
+        _use_cpus(monkeypatch, 3)
+        forest.fit(rng.normal(size=(30, 4)), rng.uniform(0, 1, 30), ForestConfig(n_trees=7), seed=1)
+        # blocks of 2, 2 and 3 trees, the last grown here
+        trees_by_pid = Counter(pids())
+        assert trees_by_pid.pop(str(os.getpid())) == 3
+        assert list(trees_by_pid.values()) == [2, 2]
+
+    def test_grows_in_process_while_another_thread_runs(self, rng, monkeypatch, tmp_path):
+        pids = _record_grower_pids(monkeypatch, tmp_path / "pids")
+        _use_cpus(monkeypatch, 3)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            forest.fit(rng.normal(size=(30, 4)), rng.uniform(0, 1, 30), ForestConfig(n_trees=4), seed=1)
+        finally:
+            release.set()
+            other.join()
+        assert pids() == [str(os.getpid())] * 4
+
+    def test_worker_error_reaches_the_caller(self, rng, monkeypatch):
+        caller = os.getpid()
+        grow = forest._ForestBuilder.grow
+
+        def fail_in_worker(self, pos, order, depth):
+            if os.getpid() != caller:
+                raise ParameterError("grown in a worker")
+            return grow(self, pos, order, depth)
+
+        monkeypatch.setattr(forest._ForestBuilder, "grow", fail_in_worker)
+        _use_cpus(monkeypatch, 2)
+        with pytest.raises(ParameterError, match="grown in a worker"):
+            forest.fit(rng.normal(size=(30, 4)), rng.uniform(0, 1, 30), ForestConfig(n_trees=4), seed=1)
+        assert multiprocessing.active_children() == []
 
 
 class TestTreeOracle:

@@ -136,6 +136,19 @@ class TestTrain:
         final_rmse = float(np.sqrt(np.mean((pred - y) ** 2)))
         assert final_rmse == pytest.approx(report.best_loss, rel=1e-9)
 
+    @pytest.mark.parametrize("epochs", [4, 12])
+    def test_best_logits_are_the_restored_weights_logits(self, rng, epochs):
+        X, y = _toy_data(rng, n=25)
+        net = CarleNet(6, "gradcheck", seed=3)
+        cfg = TrainConfig(batch_size=8, learning_rate=5e-2, epochs=epochs, early_stop_patience=epochs)
+        report = train(net, X, y, cfg, seed=3)
+        assert np.array_equal(report.best_logits, net.logits(X))
+
+    def test_validation_split_keeps_no_logits(self, rng):
+        X, y = _toy_data(rng, n=40)
+        cfg = TrainConfig(batch_size=8, epochs=3, val_fraction=0.25)
+        assert train(CarleNet(6, "gradcheck", seed=5), X, y, cfg, seed=5).best_logits is None
+
     def test_plateau_reduces_learning_rate(self, rng):
         X, y = _toy_data(rng, n=20)
         net = CarleNet(6, "gradcheck", seed=4)
