@@ -6,9 +6,13 @@ Exit codes: 0 success, 2 usage/input error (a file-system error included),
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from . import dataio, pipeline
 from .errors import InputError, NumericalError, ParameterError
@@ -93,6 +97,22 @@ def _labels(path, config, n_rows):
     return y
 
 
+@contextlib.contextmanager
+def _out_dir(path):
+    """``path`` as a directory, made if absent; made here and still empty
+    when the command fails, it is removed again."""
+    path = Path(path)
+    made = not path.exists()
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield path
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -123,16 +143,16 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     config = resolve_config(args)
     X, y, _, idx = _load_features(args, config)
-    out_dir = dataio.ensure_dir(args.out_dir)
-    model = pipeline.train_model(X, y, config, args.variant)
-    y_pred = model.predict(X)
-    report = MetricReport.compute(y, y_pred)
+    with _out_dir(args.out_dir) as out_dir:
+        model = pipeline.train_model(X, y, config, args.variant)
+        y_pred = model.predict(X)
+        report = MetricReport.compute(y, y_pred)
 
-    chash = config.config_hash()
-    pipeline.save_model(out_dir / "checkpoint.npz", model, config)
-    dataio.write_metrics_json(out_dir / "metrics.json", {"train": report.to_dict()}, chash)
-    dataio.write_history_csv(out_dir / "history.csv", model.report.history, chash)
-    dataio.write_predictions_csv(out_dir / "predictions.csv", idx, y, y_pred, chash)
+        chash = config.config_hash()
+        pipeline.save_model(out_dir / "checkpoint.npz", model, config)
+        dataio.write_metrics_json(out_dir / "metrics.json", {"train": report.to_dict()}, chash)
+        dataio.write_history_csv(out_dir / "history.csv", model.report.history, chash)
+        dataio.write_predictions_csv(out_dir / "predictions.csv", idx, y, y_pred, chash)
     print(
         f"trained {args.variant} ({model.report.epochs_run} epochs): "
         f"train mae={report.mae:.5f} rmse={report.rmse:.5f} score={report.score:.4f}"
@@ -165,19 +185,19 @@ def cmd_ablate(args) -> int:
         eval_X, _, _ = dataio.read_features_csv(args.eval_features)
         eval_y = _labels(args.eval_labels, config, len(eval_X))
 
-    out_dir = dataio.ensure_dir(args.out_dir)
     rows = []
-    for variant in VARIANTS:
-        model = pipeline.train_model(X, y, config, variant)
-        y_pred = model.predict(eval_X)
-        report = MetricReport.compute(eval_y, y_pred)
-        pipeline.save_model(out_dir / f"{variant}.npz", model, config)
-        rows.append([variant, repr(report.mae), repr(report.rmse), repr(report.score)])
-        print(
-            f"{variant}: mae={report.mae:.5f} rmse={report.rmse:.5f} score={report.score:.4f}"
-        )
-    header = ["variant", "mae", "rmse", "score"]
-    dataio._write_csv(out_dir / "ablation.csv", header, rows, config.config_hash(), line_end="\n")
+    with _out_dir(args.out_dir) as out_dir:
+        for variant in VARIANTS:
+            model = pipeline.train_model(X, y, config, variant)
+            y_pred = model.predict(eval_X)
+            report = MetricReport.compute(eval_y, y_pred)
+            pipeline.save_model(out_dir / f"{variant}.npz", model, config)
+            rows.append([variant, repr(report.mae), repr(report.rmse), repr(report.score)])
+            print(
+                f"{variant}: mae={report.mae:.5f} rmse={report.rmse:.5f} score={report.score:.4f}"
+            )
+        header = ["variant", "mae", "rmse", "score"]
+        dataio._write_csv(out_dir / "ablation.csv", header, rows, config.config_hash(), line_end="\n")
     return 0
 
 
@@ -308,7 +328,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every numerical failure is caught by an explicit finiteness check
+        # that raises NumericalError; numpy's warnings would only precede its line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ParameterError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ import contextlib
 import csv
 import itertools
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -239,9 +238,3 @@ def write_metrics_json(path, payload: dict, config_hash: str = ""):
 def write_snr_csv(path, pairs, config_hash: str = ""):
     rows = ([repr(float(sigma)), repr(float(snr))] for sigma, snr in pairs)
     _write_csv(path, ["sigma", "snr_db"], rows, config_hash)
-
-
-def ensure_dir(path) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p

@@ -5,6 +5,7 @@ bootstrap resample and each split considers a random feature subset. The
 forest prediction is the exact arithmetic mean of the tree predictions.
 """
 
+import contextlib
 import math
 import os
 import threading
@@ -83,68 +84,45 @@ def split_scan(values, targets, min_leaf):
     return sse, threshold, left_count
 
 
-class _ForestBuilder:
-    """Grows trees one after another into shared node lists; a tree's child
-    indices count from its own first node.
+# dtypes of feature, threshold, left, right and value
+_NODE_DTYPES = (np.int64, np.float64, np.int64, np.int64, np.float64)
 
-    Each tree sorts every feature of its bootstrap sample once (SPRINT's
+
+def _grow_tree(X, y, config: ForestConfig, seq) -> list:
+    """One tree grown from seed sequence ``seq``: its node arrays, in the
+    order of ``Forest.ARRAYS`` without offsets, holding its nodes in preorder
+    with child indices counting from its root.
+
+    The tree sorts every feature of its bootstrap sample once (SPRINT's
     attribute lists, Shafer, Agrawal & Mehta, 1996). A node holds its
     bootstrap positions in bootstrap order and a (d, n_node) array whose row
     f lists those positions by ascending feature f. A split filters the rows
     with a stable mask, which keeps them sorted, so no node sorts again."""
+    rng = np.random.default_rng(seq)
+    n, d = X.shape
+    idx = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+    # the bootstrap sample, one contiguous row per feature
+    xb = np.ascontiguousarray(X[idx].T)
+    yb = y[idx]
+    n_feats = min(config.max_features or max(1, math.isqrt(d)), d)
+    min_leaf = config.min_samples_leaf
+    nodes = []
 
-    def __init__(self, X, y, config: ForestConfig):
-        self.X = X
-        self.y = y
-        self.config = config
-        d = X.shape[1]
-        n_feats = config.max_features if config.max_features is not None else max(1, math.isqrt(d))
-        self.n_feats = min(n_feats, d)
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-        self.offsets = [0]
-
-    def add_tree(self, idx, rng):
-        self.rng = rng
-        # the bootstrap sample, one contiguous row per feature
-        self.xb = np.ascontiguousarray(self.X[idx].T)
-        self.yb = self.y[idx]
-        # a stable sort breaks ties by bootstrap position, as a stable sort
-        # of any node's subsequence does
-        order = np.argsort(self.xb, axis=1, kind="stable")
-        self.grow(np.arange(len(idx)), order, 0)
-        self.offsets.append(len(self.feature))
-
-    def _new_node(self, mean):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(mean)
-        return len(self.feature) - 1 - self.offsets[-1]
-
-    def grow(self, pos, order, depth) -> int:
-        y = self.yb[pos]
-        node = self._new_node(float(y.sum() / len(y)))  # bit-equal to y.mean(), faster
-        cfg = self.config
-        if len(pos) < 2 * cfg.min_samples_leaf:
+    def grow(pos, order, depth) -> int:
+        node = len(nodes)
+        yp = yb[pos]
+        nodes.append([-1, 0.0, -1, -1, float(yp.sum() / len(yp))])  # bit-equal to yp.mean(), faster
+        if len(pos) < 2 * min_leaf or yp.max() == yp.min():
             return node
-        if cfg.max_depth is not None and depth >= cfg.max_depth:
+        if config.max_depth is not None and depth >= config.max_depth:
             return node
-        if y.max() == y.min():
-            return node
-
-        d = len(self.xb)
-        if self.n_feats < d:
-            feats = self.rng.choice(d, size=self.n_feats, replace=False)
+        if n_feats < d:
+            feats = rng.choice(d, size=n_feats, replace=False)
             rows = order[feats]
         else:
             feats = np.arange(d)
             rows = order
-        sse, thr, _ = split_scan(self.xb[feats[:, None], rows], self.yb[rows], cfg.min_samples_leaf)
+        sse, thr, _ = split_scan(xb[feats[:, None], rows], yb[rows], min_leaf)
         # strict <, as a loop in draw order: the first feature wins a tie,
         # and an inf or NaN sum never wins
         r = int(np.argmin(np.where(sse < math.inf, sse, math.inf)))
@@ -152,30 +130,20 @@ class _ForestBuilder:
             return node
 
         f = int(feats[r])
-        go_left = self.xb[f] <= thr[r]  # by bootstrap position
+        go_left = xb[f] <= thr[r]  # by bootstrap position
         pos_left = go_left[pos]
         order_left = go_left[order]
-        at = self.offsets[-1] + node
-        self.feature[at] = f
-        self.threshold[at] = thr[r]
         n_left = int(pos_left.sum())
-        self.left[at] = self.grow(pos[pos_left], order[order_left].reshape(d, n_left), depth + 1)
-        self.right[at] = self.grow(
-            pos[~pos_left], order[~order_left].reshape(d, len(pos) - n_left), depth + 1
-        )
+        nodes[node][:2] = f, thr[r]
+        nodes[node][2] = grow(pos[pos_left], order[order_left].reshape(d, n_left), depth + 1)
+        nodes[node][3] = grow(pos[~pos_left], order[~order_left].reshape(d, len(pos) - n_left), depth + 1)
         return node
 
-    def finish(self, n_features: int) -> "Forest":
-        return Forest(
-            np.asarray(self.feature, dtype=np.int64),
-            np.asarray(self.threshold, dtype=np.float64),
-            np.asarray(self.left, dtype=np.int64),
-            np.asarray(self.right, dtype=np.int64),
-            np.asarray(self.value, dtype=np.float64),
-            np.asarray(self.offsets, dtype=np.int64),
-            n_features,
-            self.config,
-        )
+    # a stable sort breaks ties by bootstrap position, as a stable sort of
+    # any node's subsequence does
+    grow(np.arange(n), np.argsort(xb, axis=1, kind="stable"), 0)
+    del grow  # the recursive closure is a reference cycle: free the tree's arrays now
+    return [np.asarray(column, dtype) for column, dtype in zip(zip(*nodes), _NODE_DTYPES)]
 
 
 # (tree, row) pairs walked at once by Forest.predict; larger inputs go in row blocks
@@ -280,11 +248,10 @@ class Forest:
 def fit(logits, targets, config: ForestConfig, seed: int = 0) -> Forest:
     """Train a forest on (logit matrix, target sequence), deterministically per seed.
 
-    The trees grow in one contiguous block per usable CPU: forked workers
-    grow every block but the last, this process the last, and the blocks
-    join in tree order. With one CPU or one tree, other threads running or
-    no fork start method, every tree grows here. The arrays are
-    byte-identical either way."""
+    Each tree grows from its own seed sequence, in one contiguous block of
+    trees per usable CPU: forked workers grow every block but the last, this
+    process the last. One join assembles the trees' nodes in tree order, so
+    the arrays are byte-identical however many blocks there are."""
     X = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     y = np.asarray(targets, dtype=np.float64).ravel()
     if len(X) != len(y):
@@ -298,38 +265,45 @@ def fit(logits, targets, config: ForestConfig, seed: int = 0) -> Forest:
     config.validate()
 
     seqs = np.random.SeedSequence(seed).spawn(config.n_trees)
-    n_blocks = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(seqs))
-    if n_blocks < 2 or threading.active_count() > 1:
-        return _grow(X, y, config, seqs)
-    # imported here: they would add to every ``import carle``
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return _grow(X, y, config, seqs)
-    # each tree draws only from its own seed sequence, so a tree grown in a
-    # forked worker has the bytes it would have in process
+    n_blocks = _n_blocks(len(seqs))
     cuts = [len(seqs) * b // n_blocks for b in range(n_blocks + 1)]
     blocks = [seqs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    with ProcessPoolExecutor(n_blocks - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+    with _fork_pool(n_blocks - 1) as pool:
         futures = [pool.submit(_grow, X, y, config, block) for block in blocks[:-1]]
         last = _grow(X, y, config, blocks[-1])
-        parts = [future.result() for future in futures] + [last]
-    tree_sizes = np.concatenate([np.diff(part.offsets) for part in parts])
+        trees = [tree for future in futures for tree in future.result()] + last
     return Forest(
-        *(np.concatenate([getattr(part, name) for part in parts]) for name in Forest.ARRAYS[:-1]),
-        np.concatenate([[0], tree_sizes.cumsum()]),
+        *(np.concatenate(arrays) for arrays in zip(*trees)),
+        np.cumsum([0] + [len(tree[0]) for tree in trees], dtype=np.int64),
         X.shape[1],
         config,
     )
 
 
-def _grow(X, y, config: ForestConfig, seqs) -> Forest:
-    """The forest of one tree per seed sequence of ``seqs``, in their order."""
-    builder = _ForestBuilder(X, y, config)
-    n = len(y)
-    for ts in seqs:
-        rng = np.random.default_rng(ts)
-        idx = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        builder.add_tree(idx, rng)
-    return builder.finish(X.shape[1])
+def _grow(X, y, config: ForestConfig, seqs) -> list:
+    """The node arrays of one tree per seed sequence of ``seqs``, in their order."""
+    return [_grow_tree(X, y, config, seq) for seq in seqs]
+
+
+def _n_blocks(n_trees: int) -> int:
+    """One block of trees per usable CPU, capped at the tree count; one block
+    while another thread runs (a forked child holds only this thread) or
+    where the platform cannot fork."""
+    n = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, n_trees)
+    if n < 2 or threading.active_count() > 1:
+        return 1
+    import multiprocessing  # here: it would add to every ``import carle``
+
+    return n if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _fork_pool(n_workers: int):
+    """A pool of ``n_workers`` forked processes, or no pool for none. Each tree
+    draws only from its own seed sequence, so a tree grown in a forked worker
+    has the bytes it would have in process."""
+    if not n_workers:
+        return contextlib.nullcontext()
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"))

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -586,6 +587,15 @@ def _first_set_to(value):
     return edit
 
 
+def _run_carle(args):
+    """``python -m carle.cli *args`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(carle.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "carle.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "make_args",
     [
@@ -639,11 +649,7 @@ def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):
     out_flag = "--out-dir" if args[0] in ("train", "ablate") else "--out"
     if out_flag not in args:  # a row may name its own bad output
         args += [out_flag, str(out)]
-    env = dict(os.environ, PYTHONPATH=str(Path(carle.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "carle.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_carle(args)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -662,6 +668,80 @@ def test_train_refuses_its_out_dir_before_training(workspace, tmp_path, monkeypa
 
     monkeypatch.setattr(pipeline, "train_model", train_model)
     assert run_cli("train", "--features", str(root / "feats.csv"), "--out-dir", str(taken)) == 2
+
+
+def test_numerical_failure_exits_3_with_one_line(workspace, tmp_path):
+    root, _ = workspace
+    out_dir = tmp_path / "outd"
+    proc = _run_carle([
+        "train", "--features", str(root / "feats.csv"), "--labels", str(root / "labels.csv"),
+        "--out-dir", str(out_dir),
+        "--set", "training.learning_rate=1e300", "--set", "training.epochs=2",
+    ])
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
+    assert not out_dir.exists()
+
+
+def test_failed_command_keeps_an_out_dir_it_did_not_make(workspace, tmp_path):
+    root, _ = workspace
+    diverge = ["--set", "training.learning_rate=1e300", "--set", "training.epochs=2"]
+    feats = ["--features", str(root / "feats.csv"), "--labels", str(root / "labels.csv")]
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert run_cli("train", *feats, "--out-dir", str(kept), *diverge) == 3
+    assert kept.is_dir()
+    assert run_cli("ablate", *feats, "--out-dir", str(tmp_path / "made"), *diverge) == 3
+    assert not (tmp_path / "made").exists()
+
+
+def _mutate(data: bytes, rng: random.Random, kind: str) -> bytes:
+    """``data`` with one byte flipped, inserted or deleted, or cut short, at a
+    position drawn from ``rng``."""
+    i = rng.randrange(len(data))
+    if kind == "flip":
+        return data[:i] + bytes([data[i] ^ 1 << rng.randrange(8)]) + data[i + 1:]
+    if kind == "insert":
+        return data[:i] + bytes([rng.randrange(256)]) + data[i:]
+    if kind == "delete":
+        return data[:i] + data[i + 1:]
+    return data[:i]
+
+
+@pytest.mark.parametrize("target", ["features", "labels", "checkpoint", "signal", "config"])
+def test_mutated_input_exits_0_2_or_3_with_one_line(workspace, tmp_path, capsys, target):
+    """Thirty seeded byte mutations of one input file: each run returns 0, 2
+    or 3, prints at most one stderr line and raises nothing."""
+    root, _ = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "extraction": {"window_len": 128, "n_scales": 12}}))
+    paths = {
+        "features": root / "feats.csv",
+        "labels": root / "labels.csv",
+        "checkpoint": root / "run" / "checkpoint.npz",
+        "signal": root / "sig.csv",
+        "config": config,
+    }
+    original = paths[target].read_bytes()
+    paths[target] = tmp_path / ("mutated" + paths[target].suffix)
+    out = str(tmp_path / "out.csv")
+    if target in ("signal", "config"):
+        args = ["extract", "--signal", str(paths["signal"]), "--config", str(paths["config"]), "--out", out]
+    else:
+        args = [
+            "predict", "--checkpoint", str(paths["checkpoint"]), "--features", str(paths["features"]),
+            "--labels", str(paths["labels"]), "--out", out,
+        ]
+    rng = random.Random(18)
+    for k in range(30):
+        paths[target].write_bytes(_mutate(original, rng, ("flip", "truncate", "insert", "delete")[k % 4]))
+        code = main(args)
+        lines = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 3) and len(lines) == (code != 0), (k, code, lines)
+        if code:
+            assert lines[0].startswith("error:" if code == 2 else "numerical failure:"), (k, lines)
 
 
 class TestConfigFilePrecedence:

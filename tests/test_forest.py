@@ -198,14 +198,14 @@ def _use_cpus(monkeypatch, n):
 def _record_grower_pids(monkeypatch, path):
     """Make every tree append the id of the process that grows it to ``path``;
     forked workers inherit the patch."""
-    add_tree = forest._ForestBuilder.add_tree
+    grow_tree = forest._grow_tree
 
-    def spy(self, idx, rng):
+    def spy(X, y, config, seq):
         with open(path, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        add_tree(self, idx, rng)
+        return grow_tree(X, y, config, seq)
 
-    monkeypatch.setattr(forest._ForestBuilder, "add_tree", spy)
+    monkeypatch.setattr(forest, "_grow_tree", spy)
     return lambda: path.read_text().split()
 
 
@@ -246,16 +246,31 @@ class TestForkedFit:
             other.join()
         assert pids() == [str(os.getpid())] * 4
 
+    def test_grows_in_process_without_fork(self, rng, monkeypatch, tmp_path):
+        X = rng.normal(size=(30, 4))
+        y = rng.uniform(0, 1, 30)
+        config = ForestConfig(n_trees=5)
+        _use_cpus(monkeypatch, 1)
+        reference = forest.fit(X, y, config, seed=2)
+        pids = _record_grower_pids(monkeypatch, tmp_path / "pids")
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        model = forest.fit(X, y, config, seed=2)
+        assert pids() == [str(os.getpid())] * 5
+        for name in Forest.ARRAYS:
+            a, b = getattr(model, name), getattr(reference, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
     def test_worker_error_reaches_the_caller(self, rng, monkeypatch):
         caller = os.getpid()
-        grow = forest._ForestBuilder.grow
+        grow_tree = forest._grow_tree
 
-        def fail_in_worker(self, pos, order, depth):
+        def fail_in_worker(X, y, config, seq):
             if os.getpid() != caller:
                 raise ParameterError("grown in a worker")
-            return grow(self, pos, order, depth)
+            return grow_tree(X, y, config, seq)
 
-        monkeypatch.setattr(forest._ForestBuilder, "grow", fail_in_worker)
+        monkeypatch.setattr(forest, "_grow_tree", fail_in_worker)
         _use_cpus(monkeypatch, 2)
         with pytest.raises(ParameterError, match="grown in a worker"):
             forest.fit(rng.normal(size=(30, 4)), rng.uniform(0, 1, 30), ForestConfig(n_trees=4), seed=1)
