@@ -96,7 +96,7 @@ def load_checkpoint(path) -> CheckpointBundle:
     readable checkpoint raises InputError."""
     try:
         data = np.load(path)  # allow_pickle stays off
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, EOFError, zipfile.BadZipFile, NotImplementedError) as exc:
         raise InputError(f"{path}: not a model checkpoint (not an npz archive)") from exc
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise InputError(f"{path}: not a model checkpoint (a bare .npy array)")
@@ -110,6 +110,8 @@ def load_checkpoint(path) -> CheckpointBundle:
                     sections.setdefault(section, {})[name] = data[member]
     except InputError:
         raise
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+    # zipfile: NotImplementedError on a member it cannot unpack, RuntimeError on an encrypted one
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error, NotImplementedError,
+            RuntimeError) as exc:
         raise InputError(f"{path}: unreadable checkpoint ({exc})") from exc
     return CheckpointBundle(meta, sections)

@@ -99,17 +99,18 @@ def _labels(path, config, n_rows):
 
 @contextlib.contextmanager
 def _out_dir(path):
-    """``path`` as a directory, made if absent; made here and still empty
-    when the command fails, it is removed again."""
+    """``path`` as a directory, made with any missing parents; the directories
+    made here that are still empty when the command fails are removed again,
+    deepest first."""
     path = Path(path)
-    made = not path.exists()
+    made = [p for p in (path, *path.parents) if not p.exists()]
     path.mkdir(parents=True, exist_ok=True)
     try:
         yield path
     except BaseException:
-        if made:
+        for p in made:
             with contextlib.suppress(OSError):
-                path.rmdir()
+                p.rmdir()
         raise
 
 

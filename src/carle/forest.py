@@ -6,6 +6,7 @@ forest prediction is the exact arithmetic mean of the tree predictions.
 """
 
 import contextlib
+import functools
 import math
 import os
 import threading
@@ -227,20 +228,28 @@ class Forest:
             out = np.clip(out, 0.0, 1.0)
         return out
 
+    @functools.cached_property
+    def _tables(self) -> tuple:
+        """(child, feat, thr, depth): node i's absolute children child[2i] and child[2i+1],
+        its feature and threshold, and the deepest leaf's depth. A leaf is its own child,
+        with feature 0 and threshold +inf. A tree of s nodes is under s deep: no cycle hangs."""
+        leaf, sizes = self.feature < 0, np.diff(self.offsets)
+        base = np.repeat(self.offsets[:-1], sizes)
+        child = np.where(leaf, np.arange(len(leaf)), base + np.stack([self.left, self.right])).T.ravel()
+        level, depth = self.offsets[:-1], 0
+        while depth < sizes.max() and (level := level[~leaf[level]]).size:
+            level, depth = np.flatnonzero(np.bincount(child.reshape(-1, 2)[level].ravel())), depth + 1
+        return child, np.where(leaf, 0, self.feature), np.where(leaf, np.inf, self.threshold), depth
+
     def _tree_sum(self, X) -> np.ndarray:
         """Each row's leaf values summed in tree order. Pair p = (tree p // n,
-        row p % n) descends one level per step, going left where X <= threshold."""
-        n = len(X)
-        base = np.repeat(self.offsets[:-1], n)
-        node = base.copy()
-        live = np.arange(len(node))
-        while live.size:
-            f = self.feature[node[live]]
-            inner = f >= 0
-            live, f = live[inner], f[inner]
-            at = node[live]
-            go_left = X[live % n, f] <= self.threshold[at]
-            node[live] = base[live] + np.where(go_left, self.left[at], self.right[at])
+        row p % n) takes the forest's depth in steps, going right where X > threshold."""
+        child, feat, thr, depth = self._tables
+        x, n = X.ravel(), len(X)
+        node = np.repeat(self.offsets[:-1], n)
+        at = np.tile(np.arange(n) * self.n_features, len(self.offsets) - 1)
+        for _ in range(depth):
+            node = child[2 * node + (x[at + feat[node]] > thr[node])]
         # cumsum adds strictly in order; sum() may pair terms and round differently
         return np.cumsum(self.value[node].reshape(-1, n), axis=0)[-1]
 

@@ -552,6 +552,23 @@ def _bad_member(member, edit, what):
     return pytest.param(make_args, id=f"{member}={what}")
 
 
+def _zip_directory_edit(offset, mask, what):
+    """Rows that predict from a copy of the workspace checkpoint with ``mask``
+    ORed into byte ``offset`` of every zip central-directory header."""
+    def make_args(root, tmp_path):
+        data = bytearray((root / "run" / "checkpoint.npz").read_bytes())
+        at = data.find(b"PK\x01\x02")
+        while at >= 0:
+            data[at + offset] |= mask
+            at = data.find(b"PK\x01\x02", at + 4)
+        path = tmp_path / "zip_edit.npz"
+        path.write_bytes(bytes(data))
+        return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
+
+    make_args.names = "zip_edit.npz"
+    return pytest.param(make_args, id=what)
+
+
 def _logit_space_without_forest(root, tmp_path):
     path = tmp_path / "carl.npz"
     np.savez_compressed(path, **_carl_members(root))
@@ -640,6 +657,9 @@ def _run_carle(args):
         _noise_set("noise.salt_pepper_amplitude=1e308"),
         _noise_set("noise.gaussian_std=1e308"),
         _undecodable_features, _undecodable_config, _directory_checkpoint, _out_dir_is_a_file,
+        _zip_directory_edit(8, 0x20, "zip-patched-data"),
+        _zip_directory_edit(8, 0x01, "zip-encrypted"),
+        _zip_directory_edit(6, 0xff, "zip-version-255"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):
@@ -695,6 +715,8 @@ def test_failed_command_keeps_an_out_dir_it_did_not_make(workspace, tmp_path):
     assert kept.is_dir()
     assert run_cli("ablate", *feats, "--out-dir", str(tmp_path / "made"), *diverge) == 3
     assert not (tmp_path / "made").exists()
+    assert run_cli("train", *feats, "--out-dir", str(tmp_path / "outd2" / "sub"), *diverge) == 3
+    assert not (tmp_path / "outd2").exists()
 
 
 def _mutate(data: bytes, rng: random.Random, kind: str) -> bytes:

@@ -392,6 +392,59 @@ class TestForest:
                 acc += leaf_value(tree, xq[0])
             assert model.predict(xq)[0] == acc / 64
 
+    @staticmethod
+    def scalar_predict(model, X):
+        """Every row walked down every tree a node at a time, its leaf values
+        summed in tree order, then averaged and clamped as predict does."""
+        out = np.zeros(len(X))
+        for i, x in enumerate(X):
+            for tree in model.trees:
+                node = 0
+                while tree.feature[node] >= 0:
+                    go_left = x[tree.feature[node]] <= tree.threshold[node]
+                    node = tree.left[node] if go_left else tree.right[node]
+                out[i] += tree.value[node]
+        out /= len(model.offsets) - 1
+        return np.clip(out, 0.0, 1.0) if model.config.clamp_unit else out
+
+    @staticmethod
+    def deepest_leaf(tree):
+        """The depth of a one-tree forest's deepest leaf; children follow their parent."""
+        depth = np.zeros(len(tree.feature), dtype=int)
+        for node in np.flatnonzero(tree.feature >= 0):
+            depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+        return depth.max()
+
+    @pytest.fixture(scope="class")
+    def deep_forest(self):
+        """Eight trees grown to single-sample leaves on random 480 x 32 data,
+        and that data: its 480 rows reach every leaf."""
+        rng = np.random.default_rng(19)
+        X, y = rng.normal(size=(480, 32)), rng.uniform(0, 1, 480)
+        return forest.fit(X, y, ForestConfig(n_trees=8, min_samples_leaf=1), seed=4), X
+
+    @pytest.mark.parametrize("rows", [1, 8, 480])
+    def test_deep_trees_predict_as_the_scalar_walk(self, deep_forest, rows):
+        model, X = deep_forest
+        assert max(self.deepest_leaf(tree) for tree in model.trees) > 20
+        assert np.array_equal(model.predict(X[:rows]), self.scalar_predict(model, X[:rows]))
+
+    @pytest.mark.parametrize("rows", [1, 8, 480])
+    def test_trees_of_unequal_depth_predict_as_the_scalar_walk(self, deep_forest, rows):
+        deep, X = deep_forest
+        stump = Forest(
+            np.array([-1]), np.zeros(1), np.array([-1]), np.array([-1]), np.array([0.3]),
+            np.array([0, 1]), 32,
+        )
+        parts = [stump, *deep.trees[:3], stump, *deep.trees[3:]]
+        model = Forest(
+            *(np.concatenate([getattr(t, name) for t in parts]) for name in Forest.ARRAYS[:-1]),
+            np.cumsum([0] + [len(t.feature) for t in parts]), 32,
+        ).validate()
+        depths = [self.deepest_leaf(tree) for tree in model.trees]
+        assert depths[0] == depths[4] == 0 and max(depths) > 20
+        assert np.array_equal(model.predict(X[:rows]), self.scalar_predict(model, X[:rows]))
+
     def test_row_blocks_predict_alike(self, rng, monkeypatch):
         X = rng.normal(size=(30, 3))
         model = forest.fit(X, rng.uniform(0, 1, 30), ForestConfig(n_trees=5), seed=1)
@@ -479,6 +532,19 @@ class TestForest:
         self.save_with_forest(tmp_path / "ckpt.npz", model)
         with pytest.raises(InputError, match="forest"):
             pipeline.load_model(tmp_path / "ckpt.npz")
+
+    def test_predict_on_a_cyclic_forest_ends(self):
+        model = self.two_trees()
+        model.left[0] = 0  # the root is its own left child, which validate() refuses
+        child = multiprocessing.get_context("fork").Process(
+            target=model.predict, args=(np.array([[-1.0, 1.0], [1.0, -1.0]]),)
+        )
+        child.start()
+        child.join(timeout=10)
+        running = child.is_alive()
+        child.kill()
+        child.join()
+        assert not running, "predict on a cyclic forest still ran after 10 s"
 
     def test_row_permutation_equivariance(self, rng):
         X = rng.normal(size=(30, 3))
