@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cwt import DEFAULT_CENTER_FREQ, build_scale_grid, transform
-from .errors import DegenerateWindowError, InputError, ParameterError
+from .errors import DegenerateWindowError, InputError
 from .signal import MultiChannelSignal, extract_windows, gaussian_filter
 
 log = logging.getLogger(__name__)
@@ -161,19 +161,12 @@ class ExtractionConfig:
     center_freq: float = DEFAULT_CENTER_FREQ
     two_pi_phase: bool = True
 
-    def validate(self):
-        if self.sigma_g <= 0:
-            raise ParameterError(f"extraction.sigma_g must be positive, got {self.sigma_g}")
-        if self.window_len < 4:
-            raise ParameterError(f"extraction.window_len must be >= 4, got {self.window_len}")
-        if self.stride is not None and self.stride < 1:
-            raise ParameterError(f"extraction.stride must be >= 1, got {self.stride}")
-        if self.f_o <= 0:
-            raise ParameterError(f"extraction.f_o must be positive, got {self.f_o}")
-        if self.n_scales < 2:
-            raise ParameterError(f"extraction.n_scales must be >= 2, got {self.n_scales}")
-        if self.center_freq <= 0:
-            raise ParameterError(f"extraction.center_freq must be positive, got {self.center_freq}")
+    BOUNDS = (
+        ("positive", lambda v: v > 0, ("sigma_g", "f_o", "center_freq")),
+        (">= 4", lambda v: v >= 4, ("window_len",)),
+        (">= 2", lambda v: v >= 2, ("n_scales",)),
+        (">= 1", lambda v: v >= 1, ("stride",)),
+    )
 
 
 def extract_features(signal: MultiChannelSignal, config: ExtractionConfig = None):

@@ -15,6 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import schema
 from .errors import InputError, ParameterError
 
 
@@ -27,15 +28,7 @@ class ForestConfig:
     bootstrap: bool = True
     clamp_unit: bool = True  # clamp predictions into [0,1] for normalised labels
 
-    def validate(self):
-        if self.n_trees is not None and self.n_trees < 1:
-            raise ParameterError(f"forest.n_trees must be >= 1, got {self.n_trees}")
-        if self.min_samples_leaf < 1:
-            raise ParameterError(f"forest.min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        for key in ("max_features", "max_depth"):
-            value = getattr(self, key)
-            if value is not None and value < 1:
-                raise ParameterError(f"forest.{key} must be >= 1 or null, got {value}")
+    BOUNDS = ((">= 1", lambda v: v >= 1, ("n_trees", "max_features", "min_samples_leaf", "max_depth")),)
 
 
 def split_scan(values, targets, min_leaf):
@@ -186,8 +179,9 @@ class Forest:
 
     def validate(self) -> "Forest":
         """Check arrays read from outside; raise InputError unless every inner
-        node splits on a known feature and both its children lie further on
-        in its own tree, so that predict reaches a leaf in every tree."""
+        node splits on a known feature at a finite threshold and both its
+        children lie further on in its own tree, so that predict reaches a
+        leaf in every tree, and every node value is finite."""
         arrays = [getattr(self, name) for name in self.ARRAYS]
         if any(a.ndim != 1 for a in arrays) or len({len(a) for a in arrays[:-1]}) != 1:
             raise InputError("forest node arrays are not 1-D arrays of equal length")
@@ -203,6 +197,8 @@ class Forest:
         inner = self.feature >= 0
         if not isinstance(self.n_features, int) or (self.feature[inner] >= self.n_features).any():
             raise InputError(f"forest splits on a feature outside [0, {self.n_features})")
+        if not (np.isfinite(self.threshold[inner]).all() and np.isfinite(self.value).all()):
+            raise InputError("forest has a non-finite split threshold or node value")
         tree = np.repeat(np.arange(len(sizes)), sizes)[inner]
         local = np.arange(n)[inner] - self.offsets[tree]
         for child in (self.left[inner], self.right[inner]):
@@ -271,7 +267,7 @@ def fit(logits, targets, config: ForestConfig, seed: int = 0) -> Forest:
         raise InputError("non-finite forest training data: NaN or inf in the logits or targets")
     if config.n_trees is None:
         raise ParameterError("forest.n_trees is unset; the pipeline sets it from the model profile")
-    config.validate()
+    schema.check(config, "forest.")
 
     seqs = np.random.SeedSequence(seed).spawn(config.n_trees)
     n_blocks = _n_blocks(len(seqs))

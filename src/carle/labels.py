@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import schema
 from .errors import ParameterError
 
 
@@ -14,11 +15,10 @@ class LabelConfig:
     scheme: str = "linear"
     knee_fraction: float = 0.6
 
-    def validate(self):
-        if self.scheme not in ("linear", "piecewise"):
-            raise ParameterError(f"labels.scheme must be linear or piecewise, got {self.scheme!r}")
-        if self.scheme == "piecewise" and not 0.0 < self.knee_fraction < 1.0:
-            raise ParameterError(f"labels.knee_fraction must be in (0,1), got {self.knee_fraction}")
+    BOUNDS = (
+        ("'linear' or 'piecewise'", lambda v: v in ("linear", "piecewise"), ("scheme",)),
+        ("in (0,1)", lambda v: 0 < v < 1, ("knee_fraction",)),
+    )
 
 
 def make_labels(n_windows: int, config: LabelConfig | None = None) -> np.ndarray:
@@ -31,7 +31,7 @@ def make_labels(n_windows: int, config: LabelConfig | None = None) -> np.ndarray
     """
     if config is None:
         config = LabelConfig()
-    config.validate()
+    schema.check(config, "labels.")
     if n_windows < 2:
         raise ParameterError(f"need at least 2 windows for labels, got {n_windows}")
     i = np.arange(n_windows, dtype=np.float64)

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InputError, NumericalError, ParameterError
+from .. import schema
+from ..errors import InputError, NumericalError
 
 log = logging.getLogger(__name__)
 
@@ -24,23 +25,13 @@ class TrainConfig:
     plateau_factor: float = 0.5
     val_fraction: float = 0.0
 
-    def validate(self):
-        if self.batch_size < 1:
-            raise ParameterError(f"training.batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ParameterError(f"training.learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.decay < 1.0:
-            raise ParameterError(f"training.decay must be in [0,1), got {self.decay}")
-        if self.epsilon <= 0:
-            raise ParameterError(f"training.epsilon must be positive, got {self.epsilon}")
-        if self.epochs < 1:
-            raise ParameterError(f"training.epochs must be >= 1, got {self.epochs}")
-        if self.early_stop_patience < 0 or self.plateau_patience < 0:
-            raise ParameterError("training patience values must be >= 0")
-        if not 0.0 < self.plateau_factor <= 1.0:
-            raise ParameterError(f"training.plateau_factor must be in (0,1], got {self.plateau_factor}")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ParameterError(f"training.val_fraction must be in [0,1), got {self.val_fraction}")
+    BOUNDS = (
+        (">= 1", lambda v: v >= 1, ("batch_size", "epochs")),
+        ("positive", lambda v: v > 0, ("learning_rate", "epsilon")),
+        (">= 0", lambda v: v >= 0, ("early_stop_patience", "plateau_patience")),
+        ("in [0,1)", lambda v: 0 <= v < 1, ("decay", "val_fraction")),
+        ("in (0,1]", lambda v: 0 < v <= 1, ("plateau_factor",)),
+    )
 
 
 class RmsProp:
@@ -103,7 +94,7 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
     """
     if config is None:
         config = TrainConfig()
-    config.validate()
+    schema.check(config, "training.")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if len(X) == 0:

@@ -20,7 +20,7 @@ from .errors import InputError, ParameterError
 from .features import ExtractionConfig, extract_features, feature_matrix
 from .labels import LabelConfig, make_labels
 from .metrics import MetricReport
-from .nn.model import CarleNet, get_profile
+from .nn.model import PROFILES, CarleNet, get_profile
 from .nn.train import TrainConfig, train
 from .signal import (MultiChannelSignal, NoiseConfig, SynthConfig, SynthProfile, inject_noise,
                      synth_run_to_failure)
@@ -58,12 +58,11 @@ class ModelSection:
     standardize: bool = True
     z_clip: float = 6.0
 
-    def validate(self):
-        get_profile(self.profile)
-        if self.seq_len is not None and self.seq_len < 1:
-            raise ParameterError(f"model.seq_len must be >= 1, got {self.seq_len}")
-        if self.z_clip <= 0:
-            raise ParameterError(f"model.z_clip must be positive, got {self.z_clip}")
+    BOUNDS = (
+        (f"one of {sorted(PROFILES)}", PROFILES.__contains__, ("profile",)),
+        (">= 1", lambda v: v >= 1, ("seq_len",)),
+        ("positive", lambda v: v > 0, ("z_clip",)),
+    )
 
 
 @dataclass
@@ -72,13 +71,11 @@ class AdaptSection:
     ridge: float = 1e-8
     space: str = "feature"  # or "logit"
 
-    def validate(self):
-        if self.pca_components is not None and self.pca_components < 1:
-            raise ParameterError(f"adapt.pca_components must be >= 1, got {self.pca_components}")
-        if self.ridge < 0:
-            raise ParameterError(f"adapt.ridge must be >= 0, got {self.ridge}")
-        if self.space not in ("feature", "logit"):
-            raise ParameterError(f"adapt.space must be 'feature' or 'logit', got {self.space!r}")
+    BOUNDS = (
+        (">= 1", lambda v: v >= 1, ("pca_components",)),
+        (">= 0", lambda v: v >= 0, ("ridge",)),
+        ("'feature' or 'logit'", lambda v: v in ("feature", "logit"), ("space",)),
+    )
 
 
 @dataclass
@@ -95,15 +92,13 @@ class ExperimentConfig:
     synth: SynthProfile = field(default_factory=SynthProfile)
     adapt: AdaptSection = field(default_factory=AdaptSection)
 
+    BOUNDS = (
+        (">= 0", lambda v: v >= 0, ("seed",)),
+        ("positive", lambda v: v > 0, ("sample_rate_hz",)),
+    )
+
     def validate(self) -> "ExperimentConfig":
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.sample_rate_hz <= 0:
-            raise ParameterError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        for f in dataclasses.fields(self):
-            if dataclasses.is_dataclass(f.type):
-                getattr(self, f.name).validate()
-        return self
+        return schema.check(self)
 
     @classmethod
     def from_dict(cls, doc: dict, base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
@@ -304,7 +299,13 @@ def load_model(path) -> TrainedModel:
     meta, sections = bundle.meta, bundle.sections
     try:
         config = ExperimentConfig.from_dict(meta["config"])
-        net, forest_config = build_model(config, meta["variant"], meta["input_width"])
+        width, first = meta["input_width"], sections["nn"]["res_cnn.unit0.conv0.W"]
+        # before build_model allocates a network that wide
+        if type(width) is not int or width < 1 or np.shape(first)[1:2] != (width,):
+            raise InputError(
+                f"input_width must be an int >= 1 equal to the first layer's input width, got {width!r}"
+            )
+        net, forest_config = build_model(config, meta["variant"], width)
         net.set_weights(sections["nn"])
         scaler = None
         if config.model.standardize:

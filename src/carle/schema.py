@@ -1,10 +1,11 @@
-"""The one reader for config dataclasses.
+"""The one reader and the one checker for config dataclasses.
 
 Each stage owns its config dataclass (``features.ExtractionConfig``,
 ``nn.train.TrainConfig``, ``forest.ForestConfig``, ...) and
 ``pipeline.ExperimentConfig`` nests them. Config files, ``--set`` overrides
 and the configs stored in checkpoints all pass through ``read``, so every key
-and every value is checked the same way.
+and every value is checked the same way. ``check`` holds a config to the
+``BOUNDS`` table its class declares: rows of (bound, test, field names).
 """
 
 import dataclasses
@@ -58,3 +59,33 @@ def _checked(key: str, value, annotation):
     if isinstance(value, float) and not math.isfinite(value):
         raise ParameterError(f"config key {key!r} must be finite, got {value!r}")
     return value
+
+
+def check(config, prefix: str = ""):
+    """``config`` if each field passes the test of its class's ``BOUNDS`` row
+    (a name the class lacks is skipped), each number is finite, and None stands
+    only where the field's annotation allows it; nested sections are checked
+    too. Otherwise ParameterError names the first field that fails by its
+    dotted key, ``prefix`` + name."""
+    rules = {name: (bound, test) for bound, test, names in type(config).BOUNDS for name in names}
+    for f in dataclasses.fields(config):
+        value, types = getattr(config, f.name), typing.get_args(f.type) or (f.type,)
+        bound, test = rules.get(f.name, (None, lambda v: True))
+        if int in types or float in types:
+            bound, test = (f"finite and {bound}" if bound else "finite"), _finite_and(test)
+        if dataclasses.is_dataclass(f.type):
+            check(value, f"{prefix}{f.name}.")
+        elif not (value is None and type(None) in types or _holds(test, value)):
+            raise ParameterError(f"{prefix}{f.name} must be {bound}, got {value!r}")
+    return config
+
+
+def _finite_and(test):
+    return lambda v: math.isfinite(v) and test(v)
+
+
+def _holds(test, value) -> bool:
+    try:
+        return bool(test(value))
+    except (TypeError, OverflowError):  # not a number where one belongs, or an int past float
+        return False

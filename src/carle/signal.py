@@ -1,11 +1,11 @@
 """Multichannel vibration signals: smoothing, windowing, corruption, synthesis."""
 
 import math
-import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import schema
 from .errors import InputError, ParameterError
 
 
@@ -154,17 +154,11 @@ class NoiseConfig:
     salt_pepper_fraction: float = 0.1
     salt_pepper_amplitude: float = 0.5
 
-    def validate(self):
-        if self.gaussian_std < 0:
-            raise ParameterError(f"noise.gaussian_std must be >= 0, got {self.gaussian_std}")
-        if not 0.0 <= self.salt_pepper_fraction <= 1.0:
-            raise ParameterError(
-                f"noise.salt_pepper_fraction must be in [0,1], got {self.salt_pepper_fraction}"
-            )
-        if self.salt_pepper_amplitude <= 0:
-            raise ParameterError(
-                f"noise.salt_pepper_amplitude must be positive, got {self.salt_pepper_amplitude}"
-            )
+    BOUNDS = (
+        (">= 0", lambda v: v >= 0, ("gaussian_std",)),
+        ("in [0,1]", lambda v: 0 <= v <= 1, ("salt_pepper_fraction",)),
+        ("positive", lambda v: v > 0, ("salt_pepper_amplitude",)),
+    )
 
 
 def inject_noise(signal: MultiChannelSignal, kind: str, config: NoiseConfig, seed: int) -> MultiChannelSignal:
@@ -175,7 +169,7 @@ def inject_noise(signal: MultiChannelSignal, kind: str, config: NoiseConfig, see
     points, chosen without replacement, with values salt_pepper_amplitude *
     range beyond the channel min/max (equal probability low/high).
     """
-    config.validate()
+    schema.check(config, "noise.")
     rng = np.random.default_rng(seed)
     out = signal.channels.copy()
     if kind == "gaussian":
@@ -232,25 +226,14 @@ class SynthProfile:
     burst_rate_hz: float = 12.0
     burst_decay_s: float = 0.01
 
-    def validate(self, prefix: str = "synth."):
-        """Raise ParameterError naming the first field that is not finite or
-        breaks its bound; ``prefix`` goes before the field name. None passes
-        where the field's annotation allows it."""
-        rules = (
-            ("positive", lambda v: v > 0,
-             ("rotation_hz", "sample_rate_hz", "duration_s", "burst_rate_hz", "burst_decay_s")),
-            (">= 0", lambda v: v >= 0, ("noise_std", "burst_amp", "growth_rate")),
-            (">= 1", lambda v: v >= 1, ("channel_count",)),
-            ("in [0,1)", lambda v: 0 <= v < 1, ("onset_fraction",)),
-        )
-        kinds = {f.name: f.type for f in fields(self)}
-        for bound, holds, names in rules:
-            for name in filter(kinds.__contains__, names):
-                value = getattr(self, name)
-                if value is None and type(None) in typing.get_args(kinds[name]):
-                    continue
-                if value is None or not (math.isfinite(value) and holds(value)):
-                    raise ParameterError(f"{prefix}{name} must be finite and {bound}, got {value}")
+    # sample_rate_hz is SynthConfig's
+    BOUNDS = (
+        ("positive", lambda v: v > 0,
+         ("rotation_hz", "sample_rate_hz", "duration_s", "burst_rate_hz", "burst_decay_s")),
+        (">= 0", lambda v: v >= 0, ("noise_std", "burst_amp", "growth_rate")),
+        (">= 1", lambda v: v >= 1, ("channel_count",)),
+        ("in [0,1)", lambda v: 0 <= v < 1, ("onset_fraction",)),
+    )
 
 
 @dataclass
@@ -269,7 +252,7 @@ def synth_run_to_failure(config: SynthConfig, seed: int):
     failure time (end of record) and the fault onset time for label
     generation.
     """
-    config.validate(prefix="")
+    schema.check(config)
     rng = np.random.default_rng(seed)
     fs = config.sample_rate_hz
     n = int(round(config.duration_s * fs))

@@ -400,6 +400,53 @@ def _unknown_forest_key(root, tmp_path):
     return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
 
 
+def _edited_checkpoint(edit, names, row_id):
+    """A row that predicts from a copy of the workspace checkpoint whose
+    members ``edit`` changes in place."""
+    def make_args(root, tmp_path):
+        path = tmp_path / "edited.npz"
+        with np.load(root / "run" / "checkpoint.npz") as data:
+            members = {name: data[name] for name in data.files}
+        edit(members)
+        np.savez_compressed(path, **members)
+        return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
+
+    make_args.names = names
+    return pytest.param(make_args, id=row_id)
+
+
+def _forest_member_set(member, value):
+    """Rows whose forest holds ``value`` in ``member`` at every inner node
+    (threshold) or every leaf (value)."""
+    def edit(members):
+        inner = members["forest::feature"] >= 0
+        members[f"forest::{member}"] = members[f"forest::{member}"].copy()
+        members[f"forest::{member}"][inner if member == "threshold" else ~inner] = value
+
+    return _edited_checkpoint(edit, "non-finite", f"forest::{member}={value}")
+
+
+def _input_width(value):
+    """Rows whose header gives ``value`` as input_width; the workspace
+    network is 7 wide."""
+    def edit(members):
+        meta = json.loads(bytes(members["meta"]).decode())
+        meta["input_width"] = value
+        members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+    return _edited_checkpoint(edit, "input_width", f"input_width={value!r}")
+
+
+def _knee_outside_unit(root, tmp_path):
+    return [
+        "extract", "--signal", str(root / "sig.csv"), "--set", "labels.knee_fraction=1.5",
+        "--labels-out", str(tmp_path / "labels.csv"),
+    ]
+
+
+_knee_outside_unit.names = "labels.knee_fraction"
+
+
 def _eval_labels_alone(root, tmp_path):
     return ["ablate", "--features", str(root / "feats.csv"), "--eval-labels", str(tmp_path / "nope.csv")]
 
@@ -660,6 +707,18 @@ def _run_carle(args):
         _zip_directory_edit(8, 0x20, "zip-patched-data"),
         _zip_directory_edit(8, 0x01, "zip-encrypted"),
         _zip_directory_edit(6, 0xff, "zip-version-255"),
+        _forest_member_set("threshold", np.nan),
+        _forest_member_set("threshold", np.inf),
+        _forest_member_set("value", np.nan),
+        _forest_member_set("value", np.inf),
+        _input_width(0),
+        _input_width(-1),
+        _input_width("7"),
+        _input_width(7.0),
+        _input_width(True),
+        _input_width([7]),
+        _input_width(10**12),
+        _knee_outside_unit,
     ],
 )
 def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):
