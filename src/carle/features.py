@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import schema
 from .cwt import DEFAULT_CENTER_FREQ, build_scale_grid, transform
 from .errors import DegenerateWindowError, InputError
 from .signal import MultiChannelSignal, extract_windows, gaussian_filter
@@ -175,11 +176,10 @@ def extract_features(signal: MultiChannelSignal, config: ExtractionConfig = None
     Returns a list of FeatureVector, one per non-degenerate window;
     degenerate windows are skipped with a logged warning. A window whose
     features are not all finite (an amplitude that overflows the moments or
-    the energies) raises InputError.
+    the energies) raises InputError, and a config field outside its bound
+    a ParameterError naming its ``extraction.`` key.
     """
-    if config is None:
-        config = ExtractionConfig()
-
+    config = schema.check(config or ExtractionConfig(), "extraction.")
     grid = build_scale_grid(
         config.f_o, signal.sample_rate_hz, config.n_scales, config.center_freq
     )

@@ -19,7 +19,12 @@ def _sigmoid(z):
 
 
 def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
+    # a max over the short key axis is slow as a reduction; a running
+    # maximum over its slices gives the same (exact) values
+    m = z[..., 0]
+    for j in range(1, z.shape[-1]):
+        m = np.maximum(m, z[..., j])
+    z = z - m[..., None]
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 

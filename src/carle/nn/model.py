@@ -14,6 +14,12 @@ import numpy as np
 from ..errors import InputError, ParameterError
 from .layers import Conv1d, Dense, Lstm, MultiHeadAttention
 
+# Sequences per forward in ``CarleNet.infer``. Blocks of 8 or 16 rows take
+# OpenBLAS's small-matrix path and change the bits; from 32 rows up a block
+# gave the whole batch's bits at every row count tried, and no block of
+# infer has fewer than INFER_ROWS rows.
+INFER_ROWS = 64
+
 
 @dataclass(frozen=True)
 class ModelProfile:
@@ -278,18 +284,22 @@ class CarleNet:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, batch):
-        """Run a (batch, seq_len, input_width) tensor through all blocks.
-
-        Returns (logits, predictions): the logit matrix feeding the forest
-        and the scalar head output per sample.
-        """
+    def _checked(self, batch):
         x = np.asarray(batch, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.input_width or x.shape[1] != self.profile.seq_len:
             raise InputError(
                 f"expected batch of shape (n, {self.profile.seq_len}, {self.input_width}), "
                 f"got {x.shape}"
             )
+        return x
+
+    def forward(self, batch):
+        """Run a (batch, seq_len, input_width) tensor through all blocks.
+
+        Returns (logits, predictions): the logit matrix feeding the forest
+        and the scalar head output per sample.
+        """
+        x = self._checked(batch)
         h = x
         for unit in self.cnn_units:
             h = unit.forward(h)
@@ -371,6 +381,20 @@ class CarleNet:
         self.add_reg_grads()
         return loss, pred
 
+    def infer(self, batch):
+        """forward's (logits, predictions) with no backward to follow: blocks
+        of INFER_ROWS sequences run one forward each, the last block taking
+        the remainder, so the layer caches hold one block, not the batch
+        (stored activations pay only when a backward follows; Chen et al.,
+        2016). A batch under 2 * INFER_ROWS is one forward."""
+        x = self._checked(batch)
+        n = len(x)
+        if n < 2 * INFER_ROWS:
+            return self.forward(x)
+        starts = range(0, n - INFER_ROWS + 1, INFER_ROWS)
+        blocks = [self.forward(x[lo:hi]) for lo, hi in zip(starts, [*starts[1:], n])]
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
     def logits(self, batch) -> np.ndarray:
         """Logit matrix, one row per input sequence."""
-        return self.forward(batch)[0]
+        return self.infer(batch)[0]

@@ -77,7 +77,7 @@ class TrainReport:
 
 
 def _epoch_metrics(net, X, y):
-    logits, pred = net.forward(X)
+    logits, pred = net.infer(X)
     resid = pred - y
     return float(np.sqrt(np.mean(resid**2))), float(np.mean(np.abs(resid))), logits
 

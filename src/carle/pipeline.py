@@ -193,7 +193,7 @@ class TrainedModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         seqs = self._sequences(X)
-        logits, scalar = self.net.forward(seqs)
+        logits, scalar = self.net.infer(seqs)
         if self.forest is not None:
             return self.forest.predict(logits)
         # forest-less variant consumes the scalar head; labels are normalised

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from carle.errors import ParameterError
-from carle.nn.layers import Conv1d, Dense, Lstm, MultiHeadAttention, _sigmoid
+from carle.nn.layers import Conv1d, Dense, Lstm, MultiHeadAttention, _sigmoid, _softmax
 from carle.nn.model import CarleNet, ResCnnUnit, get_profile
 from conftest import jiggle_biases, layer_gradcheck
 
@@ -184,6 +184,16 @@ def test_sigmoid_matches_clipped_formula_bit_for_bit(rng):
     # the forward pass applies it to a strided view of the fused gates
     z2 = z[:204].reshape(12, 17)[:, 2:]
     assert np.array_equal(_sigmoid(z2), 1.0 / (1.0 + np.exp(-np.clip(z2, -60.0, 60.0))), equal_nan=True)
+
+
+@pytest.mark.parametrize("batch", [1, 8, 480])
+def test_softmax_matches_max_shift_formula_bit_for_bit(rng, batch):
+    for keys in range(1, 11):
+        z = rng.normal(scale=5.0, size=(batch, 2, 3, keys))
+        z[0, 0, 0, -1] = z[0, 0, 0, 0]  # a tie for the maximum
+        shifted = z - z.max(axis=-1, keepdims=True)
+        ref = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+        assert np.array_equal(_softmax(z).view(np.uint64), ref.view(np.uint64)), keys
 
 
 class TestMultiHeadAttention:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from carle.errors import InputError, ParameterError
 from carle.nn import CarleNet, get_profile
+from carle.nn.model import INFER_ROWS
 from conftest import finite_difference_gradcheck, jiggle_biases
 
 
@@ -72,6 +75,60 @@ class TestLogits:
         net = CarleNet(14, "toy", seed=4)
         x = _batch(rng, 3)
         assert np.array_equal(net.logits(x), net.logits(x))
+
+
+def _cached_rows(val):
+    """Leading-axis lengths of the arrays a layer cache holds."""
+    if isinstance(val, np.ndarray):
+        yield len(val)
+    elif isinstance(val, (list, tuple)):
+        for item in val:
+            yield from _cached_rows(item)
+    elif isinstance(val, dict):
+        yield from _cached_rows(list(val.values()))
+
+
+def _logits_peak(net, x):
+    tracemalloc.start()
+    try:
+        net.logits(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInfer:
+    """infer runs a forward with no backward after it in blocks of
+    INFER_ROWS sequences: the same bits, and memory bounded by the block."""
+
+    @pytest.mark.parametrize("profile", ["toy", "pronostia", "xjtu"])
+    def test_equals_forward_bit_for_bit(self, rng, profile):
+        net = CarleNet(14, profile, seed=5)
+        jiggle_biases(net, rng)
+        x = _batch(rng, 1000, profile)
+        for n in (1, 31, 63, 64, 65, 127, 128, 129, 200, 480, 1000):
+            for want, got in zip(net.forward(x[:n]), net.infer(x[:n])):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+    def test_caches_hold_one_block(self, rng):
+        net = CarleNet(14, "pronostia", seed=0)
+        net.logits(_batch(rng, 480, "pronostia"))
+        owners = [*net._layers(), *net.cnn_units]
+        rows = [n for obj in owners for key, val in vars(obj).items() if key.startswith("_")
+                for n in _cached_rows(val)]
+        assert rows and max(rows) < 2 * INFER_ROWS
+
+    def test_memory_bounded_by_the_block(self, rng):
+        net = CarleNet(14, "pronostia", seed=0)
+        x = _batch(rng, 2000, "pronostia")
+        peak_480 = _logits_peak(net, x[:480])
+        assert peak_480 < 20e6
+        assert _logits_peak(net, x) < peak_480 + 3e6
+
+    def test_shape_error_names_the_whole_batch(self):
+        with pytest.raises(InputError, match=r"\(n, 4, 14\), got \(200, 4, 9\)$"):
+            CarleNet(14, "toy", seed=0).infer(np.zeros((200, 4, 9)))
 
 
 class TestAblationWiring:

@@ -11,7 +11,7 @@ import pytest
 
 from carle import forest
 from carle.errors import ParameterError
-from carle.features import ExtractionConfig
+from carle.features import ExtractionConfig, extract_features
 from carle.forest import ForestConfig
 from carle.labels import LabelConfig, make_labels
 from carle.nn import CarleNet, TrainConfig, train
@@ -80,6 +80,17 @@ def test_every_bound_checked(section, name, value):
     prefix, call = ENTRY[section]
     with pytest.raises(ParameterError, match=f"^{re.escape(prefix + name)} must be "):
         call({name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [pytest.param(*row.values[1:], id=row.id) for row in _rows() if row.values[0] == "extraction"],
+)
+def test_extract_features_checks_its_section(name, value):
+    # the library entry point checks the section itself, not only the CLI's
+    # ExperimentConfig.validate
+    with pytest.raises(ParameterError, match=f"^extraction\\.{name} must be "):
+        extract_features(_SIGNAL, ExtractionConfig(**{name: value}))
 
 
 def _fields(cls, prefix=""):
