@@ -1,9 +1,11 @@
 """Differentiable layers with hand-written forward/backward passes.
 
 All layers consume and produce float64 arrays shaped (batch, time, features)
-unless noted. Each layer caches what its backward pass needs, accumulates
-parameter gradients in ``self.grads``, and returns the gradient with respect
-to its input.
+unless noted. A forward called with ``keep`` (the default) caches what its
+backward pass needs; with ``keep=False`` it runs the same operations, stores
+nothing and leaves any earlier cache as it was, for a forward that no
+backward follows. A backward accumulates parameter gradients in
+``self.grads`` and returns the gradient with respect to its input.
 """
 
 import math
@@ -14,8 +16,10 @@ from ..errors import ParameterError
 
 
 def _sigmoid(z):
-    # maximum/minimum give np.clip's values (NaN included) at less call overhead
-    return 1.0 / (1.0 + np.exp(-np.maximum(np.minimum(z, 60.0), -60.0)))
+    # np.maximum gives np.clip's lower bound (NaN included) at less call
+    # overhead; no upper bound is needed, since for z > 60 exp(-z) is below
+    # half an ulp of 1 and the result is 1.0 either way
+    return 1.0 / (1.0 + np.exp(-np.maximum(z, -60.0)))
 
 
 def _softmax(z):
@@ -63,14 +67,16 @@ class Dense(Layer):
             self.params["b"] = np.zeros(d_out)
         self._init_grads()
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, keep=True):
         out = x @ self.params["W"]
         if "b" in self.params:
             out = out + self.params["b"]
+        mask = None
         if self.activation == "relu":
-            self._mask = out > 0
-            out = out * self._mask
+            mask = out > 0
+            out = out * mask
+        if keep:
+            self._x, self._mask = x, mask
         return out
 
     def backward(self, dout):
@@ -120,10 +126,11 @@ class Conv1d(Layer):
             cols[:, lo:hi, d, :] = x[:, lo + shift:hi + shift, :]
         return cols.reshape(b * t, -1)
 
-    def forward(self, x):
-        # keep only the input; the columns are k times its size, and
+    def forward(self, x, keep=True):
+        # cache only the input; the columns are k times its size, and
         # backward rebuilds them
-        self._x = x
+        if keep:
+            self._x = x
         b, t, _ = x.shape
         W = self.params["W"]
         out = self._columns(x) @ W.reshape(-1, W.shape[2])
@@ -170,12 +177,12 @@ class Lstm(Layer):
         self.params["b"] = np.zeros(4 * units)
         self._init_grads()
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         b, t, _ = x.shape
         u = self.units
         h = np.zeros((b, u))
         c = np.zeros((b, u))
-        cache = {"x": x, "g": [], "gates": [], "c": [], "tanh_c": []}
+        cache = {"x": x, "g": [], "gates": [], "c": [], "tanh_c": []} if keep else None
         out = np.empty((b, t, u))
         for step in range(t):
             z = x[:, step, :] @ self.params["Wx"] + h @ self.params["Wh"] + self.params["b"]
@@ -185,11 +192,13 @@ class Lstm(Layer):
             c = g * i + c * f
             tanh_c = np.tanh(c)
             h = o * tanh_c
-            for key, val in (("g", g), ("gates", gates), ("c", c), ("tanh_c", tanh_c)):
-                cache[key].append(val)
+            if keep:
+                for key, val in (("g", g), ("gates", gates), ("c", c), ("tanh_c", tanh_c)):
+                    cache[key].append(val)
             out[:, step, :] = h
-        cache["h"] = out
-        self._cache = cache
+        if keep:
+            cache["h"] = out
+            self._cache = cache
         return out
 
     def backward(self, dout):
@@ -230,7 +239,8 @@ class Lstm(Layer):
         return (dz2 @ self.params["Wx"].T).reshape(b, t, d_in)
 
     def gate_ranges(self):
-        """Min/max of each gate over the last forward pass, for invariants."""
+        """Min/max of each gate over the last caching (keep=True) forward
+        pass, for invariants."""
         u = self.units
         g = np.stack(self._cache["g"])
         gates = np.stack(self._cache["gates"])
@@ -272,7 +282,7 @@ class MultiHeadAttention(Layer):
     def _merge(self, z, b, t):
         return z.transpose(0, 2, 1, 3).reshape(b, t, self.model_dim)
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         b, t, _ = x.shape
         q = self._split(x @ self.params["Wq"] + self.params["bq"], b, t)
         k = self._split(x @ self.params["Wk"], b, t)
@@ -280,7 +290,8 @@ class MultiHeadAttention(Layer):
         scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.head_dim)
         attn = _softmax(scores)
         ctx = self._merge(attn @ v, b, t)
-        self._cache = (x, q, k, v, attn, ctx)
+        if keep:
+            self._cache = (x, q, k, v, attn, ctx)
         return ctx @ self.params["Wo"] + self.params["bo"]
 
     def backward(self, dout):
@@ -310,5 +321,6 @@ class MultiHeadAttention(Layer):
         return dx
 
     def attention_weights(self):
-        """Per-head attention rows from the last forward pass."""
+        """Per-head attention rows from the last caching (keep=True) forward
+        pass."""
         return self._cache[4]

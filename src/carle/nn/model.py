@@ -14,10 +14,11 @@ import numpy as np
 from ..errors import InputError, ParameterError
 from .layers import Conv1d, Dense, Lstm, MultiHeadAttention
 
-# Sequences per forward in ``CarleNet.infer``. Blocks of 8 or 16 rows take
-# OpenBLAS's small-matrix path and change the bits; from 32 rows up a block
-# gave the whole batch's bits at every row count tried, and no block of
-# infer has fewer than INFER_ROWS rows.
+# Sequences per forward in ``CarleNet.infer``, which bounds the activations
+# alive at once. Blocks of 8 or 16 rows take OpenBLAS's small-matrix path
+# and change the bits; from 32 rows up a block gave the whole batch's bits
+# at every row count tried, and no block of infer has fewer than INFER_ROWS
+# rows.
 INFER_ROWS = 64
 
 
@@ -109,20 +110,23 @@ class ResCnnUnit:
             out.append(self.proj)
         return out
 
-    def forward(self, x):
-        self._relu_masks = []
+    def forward(self, x, keep=True):
+        """With keep=False, caches nothing, as a layer forward does."""
+        relu_masks = []
         h = x
         for idx, conv in enumerate(self.convs):
-            h = conv.forward(h)
+            h = conv.forward(h, keep)
             if idx < len(self.convs) - 1:
                 mask = h > 0
-                self._relu_masks.append(mask)
+                relu_masks.append(mask)
                 h = h * mask
         if self.use_residual:
-            skip = self.proj.forward(x) if self.proj is not None else x
+            skip = self.proj.forward(x, keep) if self.proj is not None else x
             h = h + skip
-        self._out_mask = h > 0
-        return h * self._out_mask
+        out_mask = h > 0
+        if keep:
+            self._relu_masks, self._out_mask = relu_masks, out_mask
+        return h * out_mask
 
     def backward(self, dout):
         dh = dout * self._out_mask
@@ -293,34 +297,35 @@ class CarleNet:
             )
         return x
 
-    def forward(self, batch):
+    def forward(self, batch, keep=True):
         """Run a (batch, seq_len, input_width) tensor through all blocks.
 
         Returns (logits, predictions): the logit matrix feeding the forest
-        and the scalar head output per sample.
+        and the scalar head output per sample. keep=False, for a forward no
+        backward follows, leaves every layer cache as it was.
         """
         x = self._checked(batch)
         h = x
         for unit in self.cnn_units:
-            h = unit.forward(h)
+            h = unit.forward(h, keep)
         if self.cnn_mha is not None:
-            h = self.cnn_mha.forward(h)
+            h = self.cnn_mha.forward(h, keep)
 
         g = h
         for lstm in self.lstms:
-            g = lstm.forward(g)
+            g = lstm.forward(g, keep)
         if self.use_residual:
-            g = g + (self.lstm_proj.forward(h) if self.lstm_proj is not None else h)
+            g = g + (self.lstm_proj.forward(h, keep) if self.lstm_proj is not None else h)
         if self.cross_proj is not None:
-            g = g + self.cross_proj.forward(x)
+            g = g + self.cross_proj.forward(x, keep)
         if self.lstm_mha is not None:
-            g = self.lstm_mha.forward(g)
+            g = self.lstm_mha.forward(g, keep)
 
         z = g.reshape(len(g), -1)
         for dense in self.denses:
-            z = dense.forward(z)
+            z = dense.forward(z, keep)
         logits = z
-        pred = self.head.forward(logits)[:, 0]
+        pred = self.head.forward(logits, keep)[:, 0]
         return logits, pred
 
     def backward(self, dpred):
@@ -384,15 +389,17 @@ class CarleNet:
     def infer(self, batch):
         """forward's (logits, predictions) with no backward to follow: blocks
         of INFER_ROWS sequences run one forward each, the last block taking
-        the remainder, so the layer caches hold one block, not the batch
-        (stored activations pay only when a backward follows; Chen et al.,
-        2016). A batch under 2 * INFER_ROWS is one forward."""
+        the remainder, so the live activations span one block, not the
+        batch. The forwards keep no layer cache (stored activations pay only
+        when a backward follows; Chen et al., 2016), so nothing of them
+        outlives the call, and the caches of an earlier forward stay for
+        its backward. A batch under 2 * INFER_ROWS is one forward."""
         x = self._checked(batch)
         n = len(x)
         if n < 2 * INFER_ROWS:
-            return self.forward(x)
+            return self.forward(x, keep=False)
         starts = range(0, n - INFER_ROWS + 1, INFER_ROWS)
-        blocks = [self.forward(x[lo:hi]) for lo, hi in zip(starts, [*starts[1:], n])]
+        blocks = [self.forward(x[lo:hi], keep=False) for lo, hi in zip(starts, [*starts[1:], n])]
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
     def logits(self, batch) -> np.ndarray:

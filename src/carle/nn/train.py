@@ -108,14 +108,12 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
     if n_val > 0:
         perm = rng.permutation(n)
         val_idx, train_idx = perm[:n_val], perm[n_val:]
+        if len(train_idx) == 0:
+            raise InputError("val_fraction leaves no training samples")
+        X_train, y_train = X[train_idx], y[train_idx]
+        X_mon, y_mon = X[val_idx], y[val_idx]
     else:
-        train_idx = np.arange(n)
-        val_idx = None
-    if len(train_idx) == 0:
-        raise InputError("val_fraction leaves no training samples")
-    X_train, y_train = X[train_idx], y[train_idx]
-    X_mon = X[val_idx] if val_idx is not None else X_train
-    y_mon = y[val_idx] if val_idx is not None else y_train
+        X_train, y_train = X_mon, y_mon = X, y
 
     opt = RmsProp(net.flat_params.size, config.learning_rate, config.decay, config.epsilon)
     report = TrainReport()
@@ -151,7 +149,7 @@ def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:
             report.best_loss = l_e
             report.best_epoch = epoch
             best_weights = net.get_weights()
-            if val_idx is None:
+            if n_val == 0:
                 report.best_logits = logits
             epochs_since_best = 0
             plateau_counter = 0

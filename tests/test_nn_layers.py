@@ -174,8 +174,12 @@ def test_sigmoid_matches_clipped_formula_bit_for_bit(rng):
     edges = []
     for v in (60.0, -60.0):
         edges += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
-    specials = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, big, -big, 700.0, -745.0]
-    z = np.concatenate([edges, specials, rng.normal(scale=30.0, size=200)])
+    specials = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, big, -big, 700.0, -745.0,
+                61.0, -61.0, 745.0, 800.0, 1e308, -1e308]
+    # a wide spread puts many values above 60, where _sigmoid has no bound
+    # and relies on 1 + exp(-z) rounding to 1
+    z = np.concatenate([edges, specials, rng.normal(scale=30.0, size=200),
+                        rng.normal(scale=100.0, size=200_000)])
     ref = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
     got = _sigmoid(z)
     assert np.array_equal(np.isnan(got), np.isnan(ref))

@@ -5,7 +5,6 @@ import pytest
 
 from carle.errors import InputError, ParameterError
 from carle.nn import CarleNet, get_profile
-from carle.nn.model import INFER_ROWS
 from conftest import finite_difference_gradcheck, jiggle_biases
 
 
@@ -77,15 +76,12 @@ class TestLogits:
         assert np.array_equal(net.logits(x), net.logits(x))
 
 
-def _cached_rows(val):
-    """Leading-axis lengths of the arrays a layer cache holds."""
-    if isinstance(val, np.ndarray):
-        yield len(val)
-    elif isinstance(val, (list, tuple)):
-        for item in val:
-            yield from _cached_rows(item)
-    elif isinstance(val, dict):
-        yield from _cached_rows(list(val.values()))
+def _caches(net):
+    """Each layer's and conv unit's private attributes (its backward cache),
+    keyed by (owner id, name)."""
+    owners = [*net._layers(), *net.cnn_units]
+    return {(id(obj), key): val for obj in owners for key, val in vars(obj).items()
+            if key.startswith("_")}
 
 
 def _logits_peak(net, x):
@@ -99,7 +95,9 @@ def _logits_peak(net, x):
 
 class TestInfer:
     """infer runs a forward with no backward after it in blocks of
-    INFER_ROWS sequences: the same bits, and memory bounded by the block."""
+    INFER_ROWS sequences, keeping no layer cache: the same bits, memory
+    bounded by the block, and an earlier forward's caches left as they
+    were."""
 
     @pytest.mark.parametrize("profile", ["toy", "pronostia", "xjtu"])
     def test_equals_forward_bit_for_bit(self, rng, profile):
@@ -111,13 +109,58 @@ class TestInfer:
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
 
-    def test_caches_hold_one_block(self, rng):
+    @pytest.mark.parametrize(
+        "flags", [{"use_mha": False}, {"use_residual": False}, {"cross_block_residual": True}]
+    )
+    def test_equals_forward_bit_for_bit_in_each_variant(self, rng, flags):
+        net = CarleNet(14, "pronostia", seed=5, **flags)
+        jiggle_biases(net, rng)
+        x = _batch(rng, 480, "pronostia")
+        for n in (1, 65, 129, 480):
+            for want, got in zip(net.forward(x[:n]), net.infer(x[:n])):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+    def test_leaves_the_layer_caches(self, rng):
         net = CarleNet(14, "pronostia", seed=0)
-        net.logits(_batch(rng, 480, "pronostia"))
-        owners = [*net._layers(), *net.cnn_units]
-        rows = [n for obj in owners for key, val in vars(obj).items() if key.startswith("_")
-                for n in _cached_rows(val)]
-        assert rows and max(rows) < 2 * INFER_ROWS
+        x = _batch(rng, 480, "pronostia")
+        net.logits(x)
+        assert not _caches(net)
+        net.loss_and_grads(x[:16], rng.normal(size=16))
+        before = _caches(net)
+        assert before
+        net.logits(x)
+        after = _caches(net)
+        assert after.keys() == before.keys()
+        assert all(after[key] is val for key, val in before.items())
+
+    def test_backward_after_infer_sees_the_forward(self, rng):
+        net = CarleNet(14, "pronostia", seed=5)
+        jiggle_biases(net, rng)
+        x = _batch(rng, 480, "pronostia")
+        dpred = rng.normal(size=16)
+        net.forward(x[:16])
+        net.backward(dpred)
+        want = net.flat_grads.copy()
+        net.zero_grads()
+        net.forward(x[:16])
+        net.infer(x)
+        net.backward(dpred)
+        assert np.array_equal(net.flat_grads.view(np.uint64), want.view(np.uint64))
+
+    def test_logits_memory_is_the_working_set(self, rng):
+        # measured (pronostia, 480 rows): 3.73 MiB peak and 2 kB held
+        # besides the result; 13.66 MiB peak and 11.9 MB held when the
+        # block forwards kept their layer caches
+        net = CarleNet(14, "pronostia", seed=0)
+        x = _batch(rng, 480, "pronostia")
+        tracemalloc.start()
+        try:
+            logits = net.logits(x)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        assert held - logits.nbytes < 0.1e6
 
     def test_memory_bounded_by_the_block(self, rng):
         net = CarleNet(14, "pronostia", seed=0)

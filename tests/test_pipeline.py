@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,21 @@ class TestTrainModel:
         model = train_model(X, y, config, "carle")
         assert model.forest.config.n_trees == get_profile("toy").n_trees
         assert len(model.forest.offsets) - 1 == get_profile("toy").n_trees
+
+    def test_memory_at_paper_size(self, rng):
+        # tracemalloc peak on this 480 x 14 matrix: 12.85 MiB; 21.29 MiB when
+        # the evaluation forwards kept their layer caches
+        config = ExperimentConfig(seed=1).with_overrides(
+            {"model.profile": "pronostia", "training.epochs": 1, "forest.n_trees": 2}
+        )
+        X = rng.normal(size=(480, 14))
+        tracemalloc.start()
+        try:
+            train_model(X, np.linspace(1.0, 0.0, 480), config, "carle")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * 2**20
 
     def test_carl_has_no_forest(self):
         config = tiny_config()
