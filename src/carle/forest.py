@@ -290,11 +290,17 @@ def _grow(X, y, config: ForestConfig, seqs) -> list:
     return [_grow_tree(X, y, config, seq) for seq in seqs]
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on, or 1 where the platform
+    does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _n_blocks(n_trees: int) -> int:
     """One block of trees per usable CPU, capped at the tree count; one block
     while another thread runs (a forked child holds only this thread) or
     where the platform cannot fork."""
-    n = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, n_trees)
+    n = min(usable_cpus(), n_trees)
     if n < 2 or threading.active_count() > 1:
         return 1
     import multiprocessing  # here: it would add to every ``import carle``

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import InputError, ParameterError
 
 
 def _sigmoid(z):
@@ -53,6 +53,12 @@ class Layer:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
+
+    def _last_cache(self):
+        """The cache of the last caching forward; InputError before the first."""
+        if not hasattr(self, "_cache"):
+            raise InputError(f"{self.name}: no forward pass cached yet; run forward with keep=True first")
+        return self._cache
 
 
 class Dense(Layer):
@@ -242,8 +248,9 @@ class Lstm(Layer):
         """Min/max of each gate over the last caching (keep=True) forward
         pass, for invariants."""
         u = self.units
-        g = np.stack(self._cache["g"])
-        gates = np.stack(self._cache["gates"])
+        cache = self._last_cache()
+        g = np.stack(cache["g"])
+        gates = np.stack(cache["gates"])
         stats = {"g": (float(g.min()), float(g.max()))}
         for j, key in enumerate(("i", "f", "o")):
             arr = gates[..., j * u:(j + 1) * u]
@@ -323,4 +330,4 @@ class MultiHeadAttention(Layer):
     def attention_weights(self):
         """Per-head attention rows from the last caching (keep=True) forward
         pass."""
-        return self._cache[4]
+        return self._last_cache()[4]

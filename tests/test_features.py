@@ -1,11 +1,16 @@
 import math
 import re
+import sys
+import threading
+import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from carle.cwt import build_scale_grid, transform
+from carle import features, forest
+from carle.cwt import _wavelet_spectra, build_scale_grid, transform
 from carle.errors import DegenerateWindowError, InputError
 from carle.features import (
     BLOCK_ROWS,
@@ -28,6 +33,7 @@ from carle.signal import (
     gaussian_filter,
     synth_run_to_failure,
 )
+from test_forest import _use_cpus
 
 FS = 2000.0
 
@@ -350,13 +356,132 @@ class TestBatchedExtraction:
         rows_f = feature_matrix(extract_features(MultiChannelSignal(x_f, self.FS), self.CFG))
         assert rows_f.tobytes() == rows.tobytes()
 
-    @pytest.mark.parametrize("scale", [1e80, 1e160])
-    def test_overflowing_features_refused_without_warnings(self, rng, scale):
+    @pytest.mark.parametrize("scale", [1e80, 1e160, 1e307])
+    def test_overflowing_features_refused_without_warnings(self, rng, monkeypatch, scale):
         sig = MultiChannelSignal(scale * rng.normal(size=(2, 4 * self.N)), self.FS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError, match="window 0: features are not finite"):
                 extract_features(sig, self.CFG)
+            _use_cpus(monkeypatch, 3)  # again, with worker threads transforming blocks
+            with pytest.raises(InputError, match="window 0: features are not finite"):
+                extract_features(sig, self.CFG)
+
+
+def _thread_starts(monkeypatch):
+    """The threads started from now on, in a list that grows as they start."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def _transform_calls(monkeypatch, worker_delay_s=0.0):
+    """Transform calls per thread id from now on, in a Counter that grows as
+    they happen; a thread other than this one first sleeps ``worker_delay_s``."""
+    calls = Counter()
+    caller = threading.get_ident()
+    transform = features.transform
+
+    def spy(*args):
+        calls[threading.get_ident()] += 1
+        if threading.get_ident() != caller:
+            time.sleep(worker_delay_s)
+        return transform(*args)
+
+    monkeypatch.setattr(features, "transform", spy)
+    return calls
+
+
+class TestBlocksOnEveryCpu:
+    """extract_features transforms its blocks on every usable CPU, worker
+    threads and the caller taking them one at a time from a shared queue:
+    the same bits at any CPU count, each block transformed once, and no
+    thread outliving the call."""
+
+    N = TestBatchedExtraction.N
+    CFG = TestBatchedExtraction.CFG
+    FS = TestBatchedExtraction.FS
+
+    def _signal(self, rng, channels, n_windows):
+        return MultiChannelSignal(rng.normal(size=(channels, n_windows * self.N)), self.FS)
+
+    def _bytes(self, monkeypatch, sig, cpus):
+        _use_cpus(monkeypatch, cpus)
+        return feature_matrix(extract_features(sig, self.CFG)).tobytes()
+
+    # 3 channels of 5 windows are 15 rows, so the last block holds one row
+    @pytest.mark.parametrize("channels, n_windows", [(2, 1), (2, 2), (2, 3), (2, 40), (3, 5)])
+    def test_same_bits_at_any_cpu_count(self, rng, monkeypatch, channels, n_windows):
+        sig = self._signal(rng, channels, n_windows)
+        want = self._bytes(monkeypatch, sig, 1)
+        for cpus in (2, 3):
+            assert self._bytes(monkeypatch, sig, cpus) == want, cpus
+
+    def test_same_bits_from_a_cold_spectra_cache(self, rng, monkeypatch):
+        sig = self._signal(rng, 2, 40)
+        want = self._bytes(monkeypatch, sig, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to shake out races
+        try:
+            for cpus in (1, 2, 3, 8):
+                _wavelet_spectra.cache_clear()
+                assert self._bytes(monkeypatch, sig, cpus) == want, cpus
+                # built once, before any worker started
+                assert _wavelet_spectra.cache_info().misses == 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_threads_end_with_the_call(self, rng, monkeypatch, cpus):
+        sig = self._signal(rng, 2, 40)
+        _use_cpus(monkeypatch, cpus)
+        calls = _transform_calls(monkeypatch)
+        before = threading.active_count()
+        started = _thread_starts(monkeypatch)
+        extract_features(sig, self.CFG)
+        assert 1 <= len(started) <= cpus - 1
+        assert threading.active_count() == before
+        assert sum(calls.values()) == 40  # 80 window channels in blocks of 2
+        _use_cpus(monkeypatch, 2)
+        assert forest._n_blocks(40) == 2  # a later forest fit still forks
+
+    def test_a_slow_thread_takes_fewer_blocks(self, rng, monkeypatch):
+        calls = _transform_calls(monkeypatch, worker_delay_s=0.005)
+        _use_cpus(monkeypatch, 2)
+        extract_features(self._signal(rng, 2, 40), self.CFG)
+        here = calls.pop(threading.get_ident())
+        assert here + sum(calls.values()) == 40
+        assert here > 3 * sum(calls.values())  # a fixed half split would give 21 and 19
+
+    def test_workers_run_under_the_callers_error_state(self, rng, monkeypatch):
+        seen = []
+        energies = features._energies
+
+        def spy(*args):
+            seen.append((threading.get_ident(), np.geterr()["divide"]))
+            return energies(*args)
+
+        monkeypatch.setattr(features, "_energies", spy)
+        _use_cpus(monkeypatch, 3)
+        with np.errstate(divide="raise"):
+            extract_features(self._signal(rng, 2, 40), self.CFG)
+        assert len({ident for ident, _ in seen}) >= 2  # one pool thread may serve both workers
+        assert {state for _, state in seen} == {"raise"}
+
+    def test_one_window_starts_no_thread(self, rng, monkeypatch):
+        sig = self._signal(rng, 2, 1)
+        _use_cpus(monkeypatch, 3)
+        started = _thread_starts(monkeypatch)
+        extract_features(sig, self.CFG)
+        grid = build_scale_grid(self.CFG.f_o, self.FS, self.CFG.n_scales)
+        window_channel_features(sig.channels[0, :self.N], grid, self.FS)
+        assert started == []
 
 
 def test_scale_grid_is_memoised_read_only():

@@ -133,6 +133,20 @@ class TestInfer:
         assert after.keys() == before.keys()
         assert all(after[key] is val for key, val in before.items())
 
+    def test_inspectors_ask_for_a_caching_forward(self, rng):
+        net = CarleNet(14, "toy", seed=0)
+        x = _batch(rng, 8)
+        net.logits(x)
+        inspectors = [lstm.gate_ranges for lstm in net.lstms]
+        inspectors += [layer.attention_weights for layer in net._layers() if hasattr(layer, "heads")]
+        assert len(inspectors) > len(net.lstms) > 0
+        for inspect in inspectors:
+            with pytest.raises(InputError, match=r": no forward pass cached yet; run forward with keep=True first$"):
+                inspect()
+        net.forward(x)
+        for inspect in inspectors:
+            inspect()
+
     def test_backward_after_infer_sees_the_forward(self, rng):
         net = CarleNet(14, "pronostia", seed=5)
         jiggle_biases(net, rng)

@@ -23,6 +23,20 @@ def test_import_leaves_environment_unchanged():
     assert after == before
 
 
+def test_import_loads_no_pool_module():
+    # extraction and the forest fit import their pools when they first need one
+    snippet = (
+        "import sys, carle; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    env = {"PYTHONPATH": str(Path(carle.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_backend_is_numpy():
     assert carle.backend() == "numpy"
 
