@@ -31,6 +31,8 @@ def _parse_set(values):
             overrides[key.strip()] = json.loads(raw)
         except json.JSONDecodeError:
             overrides[key.strip()] = raw
+        except RecursionError:
+            raise ParameterError(f"--set {key.strip()}: value is nested too deeply") from None
     return overrides
 
 
@@ -340,6 +342,9 @@ def main(argv=None) -> int:
         # str(exc) leads with "[Errno n]"; the path is what the user can act on
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -10,10 +10,11 @@ the denominator of the phase (exp(1j*f_c*tau/(2*pi))) is available with
 ``two_pi_phase=False``; note its passband does not line up with the grid's
 nominal frequencies.
 
-Coefficients are computed by FFT convolution, one numpy path that takes a
-window channel or an (m, n) block of them, so a whole extraction runs as a
-few batched FFT calls. Each scale grid and each window length's wavelet
-spectra are memoised.
+The wavelet is defined once, by the taps ``_wavelet_spectra`` builds.
+``transform`` computes coefficients by FFT convolution, one numpy path that
+takes a window channel or an (m, n) block of them, so a whole extraction
+runs as a few batched FFT calls. Each scale grid and each window
+length's wavelet spectra are memoised.
 """
 
 import functools
@@ -34,17 +35,6 @@ def phase_coefficient(center_freq: float, two_pi_phase: bool = True) -> float:
     if two_pi_phase:
         return 2.0 * math.pi * center_freq
     return center_freq / (2.0 * math.pi)
-
-
-def morlet(t, center_freq: float = DEFAULT_CENTER_FREQ, two_pi_phase: bool = True):
-    """Complex sinusoid under a unit-width Gaussian envelope.
-
-    Accepts a scalar or array argument; |morlet(t)| = exp(-t^2/2).
-    """
-    t = np.asarray(t, dtype=np.float64)
-    k = phase_coefficient(center_freq, two_pi_phase)
-    value = np.exp(1j * k * t) * np.exp(-0.5 * t * t)
-    return complex(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -126,18 +116,6 @@ def _wavelet_spectra(n_samples, scales_bytes, phase_coeff, dt):
     return spectra
 
 
-def cwt_scalogram(x, scales, phase_coeff, dt):
-    """Complex wavelet coefficients of one window, shape (n_scales, n), or of
-    each row of an (m, n) block, shape (m, n_scales, n)."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    scales = np.ascontiguousarray(scales, dtype=np.float64)
-    n = x.shape[-1]
-    spectra = _wavelet_spectra(n, scales.tobytes(), float(phase_coeff), float(dt))
-    product = np.fft.fft(x, spectra.shape[1])[..., None, :] * spectra
-    # in place: a second (..., n_scales, nfft) buffer costs more than the transform
-    return np.fft.ifft(product, axis=-1, out=product)[..., :n]
-
-
 def transform(
     window_samples,
     grid: ScaleGrid,
@@ -162,4 +140,11 @@ def transform(
     if grid.count < 2:
         raise ParameterError("scale grid is degenerate (fewer than 2 scales)")
     k = phase_coefficient(grid.center_freq, two_pi_phase)
-    return cwt_scalogram(x, grid.scales, k, 1.0 / sample_rate_hz)
+    x = np.ascontiguousarray(x)
+    # a hand-built grid may hold a list or float32 scales: the memo key is their float64 bytes
+    scales = np.ascontiguousarray(grid.scales, dtype=np.float64)
+    n = x.shape[-1]
+    spectra = _wavelet_spectra(n, scales.tobytes(), float(k), float(1.0 / sample_rate_hz))
+    product = np.fft.fft(x, spectra.shape[1])[..., None, :] * spectra
+    # in place: a second (..., n_scales, nfft) buffer costs more than the transform
+    return np.fft.ifft(product, axis=-1, out=product)[..., :n]

@@ -255,9 +255,3 @@ def extract_features(signal: MultiChannelSignal, config: ExtractionConfig = None
             vectors.append(FeatureVector(row, w_idx, names))
     return vectors
 
-
-def feature_matrix(vectors) -> np.ndarray:
-    """Stack feature vectors into a (n_windows, 7*n_channels) matrix."""
-    if not vectors:
-        raise InputError("no feature vectors to stack")
-    return np.stack([v.values for v in vectors])

@@ -35,15 +35,12 @@ def split_scan(values, targets, min_leaf):
     """Best variance-reduction split of each row of ``values`` (k, n), every
     row sorted ascending, with ``targets`` (k, n) aligned: per row the
     (sse, threshold, left_count) minimising SSE_left + SSE_right, or
-    (inf, 0.0, -1) when the row allows no split. Returns three (k,) arrays;
-    1-D inputs are one row and give one (float, float, int) triple.
+    (inf, 0.0, -1) when the row allows no split, as three (k,) arrays.
 
     Candidate thresholds are midpoints between distinct adjacent values a < b,
     or a itself where the midpoint rounds to b; the lowest-threshold minimum
     of a row wins.
     """
-    one_row = np.ndim(values) == 1
-    values, targets = np.atleast_2d(values, targets)
     k, n = targets.shape
     # candidate c puts c + 1 samples left; only c in [lo, hi) leaves at
     # least min_leaf on each side
@@ -73,8 +70,6 @@ def split_scan(values, targets, min_leaf):
         mid = 0.5 * (a + b)
         threshold = np.where(found, np.where(mid < b, mid, a), 0.0)
         left_count = np.where(found, at + 1, -1)
-    if one_row:
-        return float(sse[0]), float(threshold[0]), int(left_count[0])
     return sse, threshold, left_count
 
 

@@ -17,7 +17,7 @@ from . import forest as forest_mod
 from . import schema
 from .checkpoint import Scaler, load_checkpoint, save_checkpoint
 from .errors import InputError, ParameterError
-from .features import ExtractionConfig, extract_features, feature_matrix
+from .features import ExtractionConfig, extract_features
 from .labels import LabelConfig, make_labels
 from .metrics import MetricReport
 from .nn.model import PROFILES, CarleNet, get_profile
@@ -113,6 +113,8 @@ class ExperimentConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: invalid JSON config: {exc}") from exc
+            except RecursionError:
+                raise InputError(f"{path}: invalid JSON config: nested too deeply") from None
             except UnicodeDecodeError:
                 raise InputError(f"{path}: config is not UTF-8 text") from None
         return cls.from_dict(doc, base)
@@ -175,7 +177,7 @@ def extract_matrix(signal: MultiChannelSignal, config: ExperimentConfig):
         raise InputError("extraction produced no usable windows")
     names = vectors[0].feature_names
     idx = np.asarray([v.window_index for v in vectors], dtype=np.int64)
-    return feature_matrix(vectors), names, idx
+    return np.stack([v.values for v in vectors]), names, idx
 
 
 def labels_for(config: ExperimentConfig, n_windows: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Multichannel vibration signals: smoothing, windowing, corruption, synthesis."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,26 +40,6 @@ class MultiChannelSignal:
 
 
 @dataclass
-class GaussianKernel:
-    """Discrete smoothing kernel, truncated at +/-4 sigma and renormalised."""
-
-    sigma: float
-    taps: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
-        radius = max(1, int(math.ceil(4.0 * self.sigma)))
-        x = np.arange(-radius, radius + 1, dtype=np.float64)
-        taps = np.exp(-0.5 * (x / self.sigma) ** 2)
-        self.taps = taps / taps.sum()
-
-    @property
-    def radius(self) -> int:
-        return (len(self.taps) - 1) // 2
-
-
-@dataclass
 class Window:
     """One segment of a signal; samples has shape (channel_count, length)."""
 
@@ -79,8 +59,12 @@ def gaussian_filter(signal: MultiChannelSignal, sigma: float) -> MultiChannelSig
         raise ParameterError(
             f"sigma {sigma} is too wide for a {signal.length}-sample signal (4*sigma > length)"
         )
-    kernel = GaussianKernel(sigma)
-    r = kernel.radius
+    if not 0 < sigma < math.inf:
+        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
+    r = max(1, int(math.ceil(4.0 * sigma)))
+    x = np.arange(-r, r + 1, dtype=np.float64)
+    taps = np.exp(-0.5 * (x / sigma) ** 2)
+    taps /= taps.sum()
     out = np.empty_like(signal.channels)
     for c in range(signal.channel_count):
         ch = signal.channels[c]
@@ -88,7 +72,7 @@ def gaussian_filter(signal: MultiChannelSignal, sigma: float) -> MultiChannelSig
             padded = np.pad(ch, r, mode="reflect")
         else:
             padded = np.pad(ch, r, mode="edge")
-        out[c] = np.convolve(padded, kernel.taps, mode="valid")
+        out[c] = np.convolve(padded, taps, mode="valid")
     return MultiChannelSignal(out, signal.sample_rate_hz)
 
 

@@ -575,6 +575,34 @@ def _synth_with(flag):
     return pytest.param(make_args, id=flag)
 
 
+def _out_of_memory(override):
+    """Rows whose one --set value asks for an array of over 128 TiB, which
+    fails at once under any overcommit setting."""
+    def make_args(root, tmp_path):
+        if override.startswith("synth."):
+            return ["synth", "--set", override]
+        return ["extract", "--signal", str(root / "sig.csv"), "--set", override]
+
+    make_args.names = "out of memory"
+    return pytest.param(make_args, id=override)
+
+
+def _deep_config(root, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    return ["synth", "--config", str(path)]
+
+
+_deep_config.names = "deep.json"
+
+
+def _deep_set(root, tmp_path):
+    return ["synth", "--set", "seed=" + "[" * 30_000]
+
+
+_deep_set.names = "--set seed"
+
+
 def _carl_members(root):
     """The members of a 'carl' (forest-less) copy of the workspace checkpoint."""
     with np.load(root / "run" / "checkpoint.npz") as data:
@@ -719,6 +747,10 @@ def _run_carle(args):
         _input_width([7]),
         _input_width(10**12),
         _knee_outside_unit,
+        _out_of_memory("synth.duration_s=1e12"),
+        _out_of_memory("extraction.n_scales=1000000000000000"),
+        _deep_config,
+        _deep_set,
     ],
 )
 def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from carle import cwt
-from carle.cwt import TRUNC_TAU, build_scale_grid, morlet, phase_coefficient, transform
+from carle.cwt import TRUNC_TAU, ScaleGrid, build_scale_grid, phase_coefficient, transform
 from carle.errors import InputError, ParameterError
 
 
@@ -20,6 +20,13 @@ def direct_scalogram(x, scales, phase_coeff, dt):
         full = np.convolve(x, kernel[::-1])
         out[i] = full[half:half + n_samples] * (dt / math.sqrt(a))
     return out
+
+
+def hand_grid(scales, center_freq, fs):
+    """A ScaleGrid built from bare scales, not by build_scale_grid; its
+    frequencies follow a = f_c * fs / f."""
+    freqs = center_freq * fs / np.asarray(scales, dtype=np.float64)
+    return ScaleGrid(scales, freqs, center_freq, freqs.min(), freqs.max())
 
 
 class TestScaleGrid:
@@ -64,31 +71,12 @@ class TestScaleGrid:
             build_scale_grid(10.0, 1000.0, 8, center_freq=0.0)
 
 
-class TestMorlet:
-    def test_at_zero(self):
-        assert morlet(0.0) == 1.0 + 0.0j
-
-    def test_envelope(self):
-        # |psi(t)| = exp(-t^2/2) regardless of center frequency
-        for fc in (0.3, 0.81, 2.0):
-            assert abs(abs(morlet(2.0, fc)) - 0.1353352832366127) < 1e-12
-
-    def test_conjugate_symmetry(self):
-        for t in (0.3, 1.7, -2.2):
-            assert morlet(-t) == pytest.approx(morlet(t).conjugate())
-
-    def test_phase_conventions_differ(self):
-        fast = morlet(1.0, 0.81, two_pi_phase=True)
-        slow = morlet(1.0, 0.81, two_pi_phase=False)
-        assert fast != slow
-        assert phase_coefficient(0.81, True) == pytest.approx(2 * math.pi * 0.81)
-        assert phase_coefficient(0.81, False) == pytest.approx(0.81 / (2 * math.pi))
-
-    def test_array_argument(self):
-        t = np.linspace(-3, 3, 7)
-        vals = morlet(t)
-        assert vals.shape == (7,)
-        assert np.allclose(np.abs(vals), np.exp(-0.5 * t * t))
+def test_phase_conventions_differ(rng):
+    assert phase_coefficient(0.81, True) == pytest.approx(2 * math.pi * 0.81)
+    assert phase_coefficient(0.81, False) == pytest.approx(0.81 / (2 * math.pi))
+    grid = build_scale_grid(100.0, 2000.0, 8)
+    x = rng.normal(size=64)
+    assert not np.allclose(transform(x, grid, 2000.0, True), transform(x, grid, 2000.0, False))
 
 
 class TestTransform:
@@ -159,7 +147,7 @@ class TestTransform:
         scales = np.geomspace(0.3, 300.0, 12)
         x = rng.normal(size=n)
         k = phase_coefficient(0.81, two_pi_phase)
-        via_fft = cwt.cwt_scalogram(x, scales, k, 1.0 / self.fs)
+        via_fft = transform(x, hand_grid(scales, 0.81, self.fs), self.fs, two_pi_phase)
         direct = direct_scalogram(x, scales, k, 1.0 / self.fs)
         assert np.allclose(via_fft, direct, rtol=1e-10, atol=1e-12)
 
@@ -172,28 +160,40 @@ class TestTransform:
         fresh = []
         for grid, x in cases:
             cwt._wavelet_spectra.cache_clear()
-            fresh.append(cwt.cwt_scalogram(x, grid.scales, k, dt))
+            fresh.append(transform(x, grid, self.fs))
         for _ in range(2):
             for (grid, x), want in zip(cases, fresh):
-                assert np.array_equal(cwt.cwt_scalogram(x, grid.scales, k, dt), want)
+                assert np.array_equal(transform(x, grid, self.fs), want)
         assert cwt._wavelet_spectra.cache_info().currsize == len(cases)
         for grid, x in cases:
             spectra = cwt._wavelet_spectra(len(x), grid.scales.tobytes(), k, dt)
             with pytest.raises(ValueError):
                 spectra[0, 0] = 0.0
 
+    def test_hand_built_grid_scales_become_float64(self, rng):
+        # the memo key is the scales' float64 bytes, whatever the grid holds
+        x = rng.normal(size=128)
+        scales = np.geomspace(0.5, 40.0, 6)
+        want = transform(x, hand_grid(scales, 0.81, self.fs), self.fs)
+        assert np.array_equal(transform(x, hand_grid(scales.tolist(), 0.81, self.fs), self.fs), want)
+        narrow = scales.astype(np.float32)
+        want = transform(x, hand_grid(narrow.astype(np.float64), 0.81, self.fs), self.fs)
+        assert np.array_equal(transform(x, hand_grid(narrow, 0.81, self.fs), self.fs), want)
+
 
 def test_cwt_kernel_truncation_harmless(rng):
     # widening the envelope cutoff must not change coefficients measurably
     x = rng.normal(size=128)
     scales = np.array([2.0, 5.0])
-    base = cwt.cwt_scalogram(x, scales, 5.09, 1e-3)
+    center_freq = 5.09 / (2 * math.pi)
+    k = phase_coefficient(center_freq)
+    base = transform(x, hand_grid(scales, center_freq, 1000.0), 1000.0)
     # reference with an explicitly huge support via the numpy path
     out = np.empty_like(base)
     for i, a in enumerate(scales):
         half = 4 * 128  # effectively untruncated
         tau = np.arange(-half, half + 1) / a
-        kernel = np.exp(-0.5 * tau * tau) * np.exp(-1j * 5.09 * tau)
+        kernel = np.exp(-0.5 * tau * tau) * np.exp(-1j * k * tau)
         full = np.convolve(x, kernel[::-1])
         out[i] = full[half:half + 128] * (1e-3 / np.sqrt(a))
     assert np.allclose(base, out, rtol=1e-7, atol=1e-12)

@@ -22,7 +22,6 @@ from carle.features import (
     energy,
     entropy,
     extract_features,
-    feature_matrix,
     moments,
     window_channel_features,
 )
@@ -36,6 +35,11 @@ from carle.signal import (
 from test_forest import _use_cpus
 
 FS = 2000.0
+
+
+def _matrix(vectors):
+    """The (n_windows, 7 * n_channels) matrix of extract_features' vectors."""
+    return np.stack([v.values for v in vectors])
 
 
 def _grid(n=16, f_o=100.0):
@@ -216,8 +220,8 @@ class TestExtractFeatures:
     def test_deterministic(self):
         sig = self._signal(1)
         cfg = ExtractionConfig(window_len=256, f_o=35.0, n_scales=12)
-        a = feature_matrix(extract_features(sig, cfg))
-        b = feature_matrix(extract_features(sig, cfg))
+        a = _matrix(extract_features(sig, cfg))
+        b = _matrix(extract_features(sig, cfg))
         assert np.array_equal(a, b)
 
     def test_degenerate_window_skipped_with_warning(self, caplog):
@@ -350,10 +354,10 @@ class TestBatchedExtraction:
     def test_column_major_signal_gives_the_same_bits(self, rng):
         # a CSV-read signal is a transpose; the signal stores it in C order
         x = rng.normal(size=(2, 4 * self.N))
-        rows = feature_matrix(extract_features(MultiChannelSignal(x, self.FS), self.CFG))
+        rows = _matrix(extract_features(MultiChannelSignal(x, self.FS), self.CFG))
         x_f = np.asfortranarray(x)
         assert MultiChannelSignal(x_f, self.FS).channels.flags.c_contiguous
-        rows_f = feature_matrix(extract_features(MultiChannelSignal(x_f, self.FS), self.CFG))
+        rows_f = _matrix(extract_features(MultiChannelSignal(x_f, self.FS), self.CFG))
         assert rows_f.tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("scale", [1e80, 1e160, 1e307])
@@ -413,7 +417,7 @@ class TestBlocksOnEveryCpu:
 
     def _bytes(self, monkeypatch, sig, cpus):
         _use_cpus(monkeypatch, cpus)
-        return feature_matrix(extract_features(sig, self.CFG)).tobytes()
+        return _matrix(extract_features(sig, self.CFG)).tobytes()
 
     # 3 channels of 5 windows are 15 rows, so the last block holds one row
     @pytest.mark.parametrize("channels, n_windows", [(2, 1), (2, 2), (2, 3), (2, 40), (3, 5)])

@@ -82,16 +82,16 @@ def assert_tree_optimal(tree, X, y, min_leaf, max_depth, node=0, depth=0):
 def test_split_scan_respects_min_leaf(rng):
     v = np.sort(rng.normal(size=20))
     t = rng.normal(size=20)
-    _, _, pos = forest.split_scan(v, t, 8)
-    assert pos < 0 or 8 <= pos <= 12
+    _, _, pos = forest.split_scan(v[None], t[None], 8)
+    assert pos[0] < 0 or 8 <= pos[0] <= 12
 
 
 def test_split_scan_no_split_on_constant_feature(rng):
     v = np.ones(10)
     t = rng.normal(size=10)
-    sse, _, pos = forest.split_scan(v, t, 1)
-    assert pos == -1
-    assert sse == np.inf
+    sse, _, pos = forest.split_scan(v[None], t[None], 1)
+    assert pos[0] == -1
+    assert sse[0] == np.inf
 
 
 @pytest.mark.parametrize("min_leaf", [1, 2, 3, 6])
@@ -107,8 +107,8 @@ def test_split_scan_rows_match_one_row_calls(rng, min_leaf):
     sse, thr, count = forest.split_scan(values, targets, min_leaf)
     assert sse.shape == thr.shape == count.shape == (7,)
     for row in range(7):
-        one = forest.split_scan(values[row], targets[row], min_leaf)
-        assert (sse[row], thr[row], count[row]) == one
+        one = forest.split_scan(values[row][None], targets[row][None], min_leaf)
+        assert (sse[row], thr[row], count[row]) == tuple(a[0] for a in one)
     if min_leaf == 6:  # n < 2 * min_leaf: no row may split
         assert (count == -1).all() and (sse == np.inf).all() and (thr == 0.0).all()
     else:
@@ -121,8 +121,8 @@ def test_adjacent_doubles_split_below_the_upper_value():
     a = 1.0 + np.finfo(float).eps
     b = np.nextafter(a, 2.0)
     assert 0.5 * (a + b) == b
-    _, thr, count = forest.split_scan(np.array([a, b]), np.array([0.0, 1.0]), 1)
-    assert (thr, count) == (a, 1)
+    _, thr, count = forest.split_scan(np.array([[a, b]]), np.array([[0.0, 1.0]]), 1)
+    assert (thr[0], count[0]) == (a, 1)
     cfg = ForestConfig(n_trees=1, min_samples_leaf=1, bootstrap=False)
     model = forest.fit(np.array([[a], [b]]), np.array([0.0, 1.0]), cfg, seed=0)
     assert model.threshold[0] == a

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -25,7 +26,7 @@ from carle.pipeline import (
     train_model,
     variant_flags,
 )
-from carle.signal import SynthConfig, snr_sweep
+from carle.signal import SynthConfig, gaussian_filter, snr_sweep, synth_run_to_failure
 
 
 def tiny_config(**overrides):
@@ -412,3 +413,34 @@ def test_snr_sweep_of_a_csv_read_signal_matches_memory(tmp_path):
     assert np.array_equal(read.channels, sig.channels)
     sigmas = np.arange(0.25, 2.01, 0.25)
     assert snr_sweep(read, sigmas) == snr_sweep(sig, sigmas)
+
+
+@pytest.mark.parametrize(
+    "seed, channels, extraction, digest",
+    [
+        (0, 1, {}, "118bfb2045ace05b"),
+        (1, 2, {}, "5b959764f7a8962f"),
+        (2, 3, {}, "6d5b29ce71e2b04d"),
+        (0, 2, {"n_scales": 16, "stride": 100, "two_pi_phase": False}, "4d54c529b237e844"),
+    ],
+)
+def test_feature_bytes_pinned(seed, channels, extraction, digest):
+    """SHA-256 prefixes of extract_matrix's matrix and window index: any
+    change to smoothing, windowing, the transform or a descriptor's
+    arithmetic shows here."""
+    sig, _ = synth_run_to_failure(SynthConfig(duration_s=4.0, channel_count=channels), seed)
+    X, _, idx = extract_matrix(sig, ExperimentConfig.from_dict({"extraction": extraction}))
+    assert X.shape == (len(idx), 7 * channels)
+    h = hashlib.sha256(X.tobytes())
+    h.update(idx.tobytes())
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "sigma, digest", [(0.3, "3f3af0cd6c9162b8"), (1.0, "6b3323768aa0a5a4"), (2.5, "15f4380e26c0d773")]
+)
+def test_feature_bytes_pinned_smoothing(sigma, digest):
+    """SHA-256 prefixes of gaussian_filter's output, which every feature reads."""
+    sig, _ = synth_run_to_failure(SynthConfig(duration_s=2.0, channel_count=2), 0)
+    smoothed = gaussian_filter(sig, sigma).channels
+    assert hashlib.sha256(smoothed.tobytes()).hexdigest()[:16] == digest

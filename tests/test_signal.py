@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from carle.errors import InputError, ParameterError
 from carle.signal import (
-    GaussianKernel,
     MultiChannelSignal,
     NoiseConfig,
     SynthConfig,
@@ -19,30 +20,46 @@ def _sig(arr, fs=1000.0):
     return MultiChannelSignal(np.asarray(arr, dtype=float), fs)
 
 
+def _impulse_response(sigma):
+    """gaussian_filter's response to a centred unit impulse, on a signal wide
+    enough that reflect padding adds nothing: the kernel's taps, with r zeros
+    on each side, r = max(1, ceil(4*sigma))."""
+    r = max(1, math.ceil(4.0 * sigma))
+    x = np.zeros(4 * r + 1)
+    x[2 * r] = 1.0
+    return gaussian_filter(_sig([x]), sigma).channels[0]
+
+
 class TestGaussianKernel:
+    """The kernel gaussian_filter convolves with, read off as its impulse response."""
+
     def test_kernel_sums_to_one_across_sigmas(self):
         for sigma in np.linspace(0.1, 10.0, 25):
-            k = GaussianKernel(float(sigma))
-            assert abs(k.taps.sum() - 1.0) < 1e-9
+            taps = _impulse_response(float(sigma))
+            assert abs(taps.sum() - 1.0) < 1e-9
 
     def test_kernel_symmetric(self):
         for sigma in (0.3, 1.0, 4.2):
-            k = GaussianKernel(sigma)
-            assert np.allclose(k.taps, k.taps[::-1], rtol=0, atol=0)
+            taps = _impulse_response(sigma)
+            assert np.allclose(taps, taps[::-1], rtol=0, atol=0)
 
     def test_kernel_odd_length(self):
-        assert len(GaussianKernel(0.1).taps) % 2 == 1
-        assert len(GaussianKernel(3.7).taps) % 2 == 1
+        for sigma in (0.1, 3.7):
+            support = np.flatnonzero(_impulse_response(sigma))
+            assert len(support) % 2 == 1
+            assert len(support) == support[-1] - support[0] + 1  # truncated at +/-4 sigma
+            assert len(support) == 2 * max(1, math.ceil(4.0 * sigma)) + 1
 
     def test_bad_sigma(self):
+        signal = _sig([np.arange(16.0)])
         with pytest.raises(ParameterError):
-            GaussianKernel(0.0)
+            gaussian_filter(signal, 0.0)
         with pytest.raises(ParameterError):
-            GaussianKernel(-1.0)
+            gaussian_filter(signal, -1.0)
         with pytest.raises(ParameterError, match="sigma"):
-            GaussianKernel(np.inf)
-        with pytest.raises(ParameterError, match="sigma"):
-            GaussianKernel(np.nan)
+            gaussian_filter(signal, np.inf)
+        with pytest.raises(ParameterError, match="sigma must be positive and finite, got nan"):
+            gaussian_filter(signal, np.nan)
 
 
 class TestGaussianFilter:
@@ -57,9 +74,10 @@ class TestGaussianFilter:
         x[20] = 1.0
         out = gaussian_filter(_sig([x]), 1.0)
         assert abs(out.channels[0, 20] - 0.3989422804014327) < 1e-4
-        kernel = GaussianKernel(1.0)
-        r = kernel.radius
-        assert np.allclose(out.channels[0, 20 - r:20 + r + 1], kernel.taps, atol=1e-12)
+        # the documented taps: exp(-x^2/2) at x in [-4, 4], normalised
+        taps = np.exp(-0.5 * np.arange(-4.0, 5.0) ** 2)
+        taps /= taps.sum()
+        assert np.allclose(out.channels[0, 16:25], taps, atol=1e-12)
 
     def test_white_noise_variance_reduced(self, rng):
         x = rng.normal(size=4096)
