@@ -191,7 +191,10 @@ def cmd_ablate(args) -> int:
     rows = []
     with _out_dir(args.out_dir) as out_dir:
         for variant in VARIANTS:
-            model = pipeline.train_model(X, y, config, variant)
+            if variant == "carl":  # carle, trained just before, has carl's flags and seeds
+                model = dataclasses.replace(model, forest=None, variant=variant)
+            else:
+                model = pipeline.train_model(X, y, config, variant)
             y_pred = model.predict(eval_X)
             report = MetricReport.compute(eval_y, y_pred)
             pipeline.save_model(out_dir / f"{variant}.npz", model, config)

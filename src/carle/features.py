@@ -8,18 +8,17 @@ concatenated (channels outer, features inner) into one vector per window.
 An extraction stacks all its window channels into one block, transforms it
 BLOCK_ROWS rows at a time, and computes each descriptor for every row at
 once; ``window_channel_features`` is the one-row case of the same code.
-The blocks are transformed on every usable CPU, in threads that live only
-for the call, and each block as it would be alone, so the features have
-the same bits at any CPU count.
+The blocks are transformed by ``parallel.in_order``, in threads that live
+only for the call, and each block as it would be alone, so the features
+have the same bits at any CPU count.
 """
 
-import contextvars
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import forest, schema
+from . import parallel, schema
 from .cwt import DEFAULT_CENTER_FREQ, build_scale_grid, transform
 from .errors import DegenerateWindowError, InputError
 from .signal import MultiChannelSignal, extract_windows, gaussian_filter
@@ -124,59 +123,24 @@ def moments(window_samples):
     return mu, std, skew, kurt
 
 
-def _energies(starts, rows, out, grid, sample_rate_hz, two_pi_phase):
-    """Put in ``out[i // BLOCK_ROWS]`` the ``energy`` of the transform of the
-    BLOCK_ROWS-row block of ``rows`` at each start i that ``starts`` yields.
-    An amplitude out of range overflows to inf or nan quietly:
-    ``extract_features`` refuses the window whose features are not finite."""
+def _energies(block, grid, sample_rate_hz, two_pi_phase):
+    """``energy`` of the transform of a block of rows. An amplitude out of
+    range overflows to inf or nan quietly: ``extract_features`` refuses the
+    window whose features are not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in starts:
-            out[i // BLOCK_ROWS] = energy(
-                transform(rows[i:i + BLOCK_ROWS], grid, sample_rate_hz, two_pi_phase)
-            )
-
-
-def _block_energies(rows, grid, sample_rate_hz, two_pi_phase):
-    """``energy`` of every block of ``rows``, in block order.
-
-    With more than one usable CPU and more than two blocks, this thread
-    transforms the first block, which builds the memoised wavelet spectra;
-    then worker threads and this thread take the other blocks one at a time
-    from a shared queue (numpy's FFTs and products release the GIL), so a
-    CPU that runs slower takes fewer. Each block is computed as it would be
-    alone, so the energies have the same bits at any CPU count."""
-    starts = range(0, len(rows), BLOCK_ROWS)
-    out = [None] * len(starts)
-    args = (rows, out, grid, sample_rate_hz, two_pi_phase)
-    n_workers = min(forest.usable_cpus(), len(starts) - 1) - 1
-    if n_workers < 1:
-        _energies(starts, *args)
-        return out
-    import queue  # here with the pool: it would add to every ``import carle``
-    from concurrent.futures import ThreadPoolExecutor
-
-    _energies(starts[:1], *args)
-    todo = queue.SimpleQueue()
-    for i in [*starts[1:], *[None] * (n_workers + 1)]:  # one None ends each taker
-        todo.put(i)
-    with ThreadPoolExecutor(n_workers) as pool:
-        # a new thread starts from numpy's default error state; each worker
-        # runs in a copy of this thread's context, which holds it
-        futures = [
-            pool.submit(contextvars.copy_context().run, _energies, iter(todo.get, None), *args)
-            for _ in range(n_workers)
-        ]
-        _energies(iter(todo.get, None), *args)
-        for future in futures:
-            future.result()
-    return out
+        return energy(transform(block, grid, sample_rate_hz, two_pi_phase))
 
 
 def _featurise(rows, grid, sample_rate_hz, two_pi_phase):
     """The seven descriptors of each row of an (m, n) block of window
     channels, shape (m, 7) in FEATURE_NAMES order, and per row why it is
     degenerate, or "" (zero energy is checked before zero variance)."""
-    blocks = _block_energies(rows, grid, sample_rate_hz, two_pi_phase)
+    # in threads: numpy's FFTs and products release the GIL
+    blocks = parallel.in_order(
+        lambda i: _energies(rows[i:i + BLOCK_ROWS], grid, sample_rate_hz, two_pi_phase),
+        range(0, len(rows), BLOCK_ROWS),
+        "thread",
+    )
     scale_energies = np.concatenate([e for e, _ in blocks])
     total = np.concatenate([t for _, t in blocks])
     mu, std, skew, kurt = moments(rows)

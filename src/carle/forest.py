@@ -5,17 +5,14 @@ bootstrap resample and each split considers a random feature subset. The
 forest prediction is the exact arithmetic mean of the tree predictions.
 """
 
-import contextlib
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from . import schema
+from . import parallel, schema
 from .errors import InputError, ParameterError
 
 
@@ -248,10 +245,10 @@ class Forest:
 def fit(logits, targets, config: ForestConfig, seed: int = 0) -> Forest:
     """Train a forest on (logit matrix, target sequence), deterministically per seed.
 
-    Each tree grows from its own seed sequence, in one contiguous block of
-    trees per usable CPU: forked workers grow every block but the last, this
-    process the last. One join assembles the trees' nodes in tree order, so
-    the arrays are byte-identical however many blocks there are."""
+    The trees grow through ``parallel.in_order``, in forked workers. A tree
+    draws only from its own seed sequence, and one join assembles the trees'
+    nodes in tree order, so the arrays are byte-identical whichever process
+    grows a tree."""
     X = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     y = np.asarray(targets, dtype=np.float64).ravel()
     if len(X) != len(y):
@@ -265,51 +262,10 @@ def fit(logits, targets, config: ForestConfig, seed: int = 0) -> Forest:
     schema.check(config, "forest.")
 
     seqs = np.random.SeedSequence(seed).spawn(config.n_trees)
-    n_blocks = _n_blocks(len(seqs))
-    cuts = [len(seqs) * b // n_blocks for b in range(n_blocks + 1)]
-    blocks = [seqs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    with _fork_pool(n_blocks - 1) as pool:
-        futures = [pool.submit(_grow, X, y, config, block) for block in blocks[:-1]]
-        last = _grow(X, y, config, blocks[-1])
-        trees = [tree for future in futures for tree in future.result()] + last
+    trees = parallel.in_order(lambda seq: _grow_tree(X, y, config, seq), seqs, "fork")
     return Forest(
         *(np.concatenate(arrays) for arrays in zip(*trees)),
         np.cumsum([0] + [len(tree[0]) for tree in trees], dtype=np.int64),
         X.shape[1],
         config,
     )
-
-
-def _grow(X, y, config: ForestConfig, seqs) -> list:
-    """The node arrays of one tree per seed sequence of ``seqs``, in their order."""
-    return [_grow_tree(X, y, config, seq) for seq in seqs]
-
-
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on, or 1 where the platform
-    does not say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _n_blocks(n_trees: int) -> int:
-    """One block of trees per usable CPU, capped at the tree count; one block
-    while another thread runs (a forked child holds only this thread) or
-    where the platform cannot fork."""
-    n = min(usable_cpus(), n_trees)
-    if n < 2 or threading.active_count() > 1:
-        return 1
-    import multiprocessing  # here: it would add to every ``import carle``
-
-    return n if "fork" in multiprocessing.get_all_start_methods() else 1
-
-
-def _fork_pool(n_workers: int):
-    """A pool of ``n_workers`` forked processes, or no pool for none. Each tree
-    draws only from its own seed sequence, so a tree grown in a forked worker
-    has the bytes it would have in process."""
-    if not n_workers:
-        return contextlib.nullcontext()
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"))

@@ -1,10 +1,13 @@
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from carle.signal import (
     gaussian_filter,
     synth_run_to_failure,
 )
-from test_forest import _use_cpus
+from test_forest import _record_grower_pids, _use_cpus
 
 FS = 2000.0
 
@@ -404,7 +407,7 @@ def _transform_calls(monkeypatch, worker_delay_s=0.0):
 
 class TestBlocksOnEveryCpu:
     """extract_features transforms its blocks on every usable CPU, worker
-    threads and the caller taking them one at a time from a shared queue:
+    threads and the caller claiming them one at a time:
     the same bits at any CPU count, each block transformed once, and no
     thread outliving the call."""
 
@@ -442,7 +445,7 @@ class TestBlocksOnEveryCpu:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_threads_end_with_the_call(self, rng, monkeypatch, cpus):
+    def test_threads_end_with_the_call(self, rng, monkeypatch, tmp_path, cpus):
         sig = self._signal(rng, 2, 40)
         _use_cpus(monkeypatch, cpus)
         calls = _transform_calls(monkeypatch)
@@ -452,8 +455,10 @@ class TestBlocksOnEveryCpu:
         assert 1 <= len(started) <= cpus - 1
         assert threading.active_count() == before
         assert sum(calls.values()) == 40  # 80 window channels in blocks of 2
+        pids = _record_grower_pids(monkeypatch, tmp_path / "pids")
         _use_cpus(monkeypatch, 2)
-        assert forest._n_blocks(40) == 2  # a later forest fit still forks
+        forest.fit(rng.normal(size=(30, 4)), rng.uniform(0, 1, 30), forest.ForestConfig(n_trees=4), seed=1)
+        assert set(pids()) - {str(os.getpid())}  # a later forest fit still forks
 
     def test_a_slow_thread_takes_fewer_blocks(self, rng, monkeypatch):
         calls = _transform_calls(monkeypatch, worker_delay_s=0.005)
@@ -477,6 +482,23 @@ class TestBlocksOnEveryCpu:
             extract_features(self._signal(rng, 2, 40), self.CFG)
         assert len({ident for ident, _ in seen}) >= 2  # one pool thread may serve both workers
         assert {state for _, state in seen} == {"raise"}
+
+    def test_threads_leave_multiprocessing_unimported(self):
+        # the thread kind keeps the pool module, and its memory, out of the process
+        snippet = (
+            "import os, sys, numpy as np; "
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+            "from carle.features import extract_features; from carle.signal import MultiChannelSignal; "
+            f"samples = np.random.default_rng(0).normal(size=(2, 40 * {self.N})); "
+            f"extract_features(MultiChannelSignal(samples, {self.FS})); "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        )
+        env = {"PYTHONPATH": str(Path(features.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", snippet], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['concurrent.futures']"
 
     def test_one_window_starts_no_thread(self, rng, monkeypatch):
         sig = self._signal(rng, 2, 1)

@@ -3,6 +3,7 @@ import hashlib
 import multiprocessing
 import os
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -224,14 +225,24 @@ class TestForkedFit:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert multiprocessing.active_children() == []
 
-    def test_workers_grow_all_but_the_last_block(self, rng, monkeypatch, tmp_path):
+    def test_a_slow_worker_grows_fewer_trees(self, rng, monkeypatch, tmp_path):
+        caller = os.getpid()
         pids = _record_grower_pids(monkeypatch, tmp_path / "pids")
-        _use_cpus(monkeypatch, 3)
-        forest.fit(rng.normal(size=(30, 4)), rng.uniform(0, 1, 30), ForestConfig(n_trees=7), seed=1)
-        # blocks of 2, 2 and 3 trees, the last grown here
+        grow_tree = forest._grow_tree
+
+        def slow_in_worker(X, y, config, seq):
+            if os.getpid() != caller:
+                time.sleep(0.05)
+            return grow_tree(X, y, config, seq)
+
+        monkeypatch.setattr(forest, "_grow_tree", slow_in_worker)
+        _use_cpus(monkeypatch, 2)
+        forest.fit(rng.normal(size=(30, 4)), rng.uniform(0, 1, 30), ForestConfig(n_trees=20), seed=1)
         trees_by_pid = Counter(pids())
-        assert trees_by_pid.pop(str(os.getpid())) == 3
-        assert list(trees_by_pid.values()) == [2, 2]
+        here = trees_by_pid.pop(str(caller))
+        assert len(trees_by_pid) == 1  # one forked worker
+        assert here + sum(trees_by_pid.values()) == 20  # every tree grown once
+        assert here > 3 * sum(trees_by_pid.values())  # a fixed half split would give 10 and 10
 
     def test_grows_in_process_while_another_thread_runs(self, rng, monkeypatch, tmp_path):
         pids = _record_grower_pids(monkeypatch, tmp_path / "pids")
