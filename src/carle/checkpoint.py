@@ -1,9 +1,10 @@
 """Model artifact container: one npz file holding a versioned JSON header and
-the model's arrays, each stored as the member ``section::name``.
+the model's arrays, each stored as the member ``section::name``, and the
+feature ``Scaler`` stored in it.
 
 The header carries the config the model was trained from. The pipeline
-rebuilds the model from that config, so this module only writes and reads
-the header and the arrays.
+rebuilds the model from that config; this module writes and reads the
+header and the arrays without interpreting the model.
 """
 
 import json

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import dataio, pipeline
 from .errors import InputError, NumericalError, ParameterError
+from .labels import make_labels
 from .metrics import MetricReport
 from .pipeline import VARIANTS, ExperimentConfig
 from .signal import snr_sweep
@@ -82,20 +83,26 @@ def _load_features(args, config):
         raise InputError("provide either --features or --signal")
     if args.features:
         X, names, idx = dataio.read_features_csv(args.features)
-    else:
-        sig = dataio.read_signal_csv(args.signal, config.sample_rate_hz)
-        X, names, idx = pipeline.extract_matrix(sig, config)
-    return X, _labels(args.labels, config, len(X)), names, idx
+        return X, _labels(args.labels, config, idx), names, idx
+    sig = dataio.read_signal_csv(args.signal, config.sample_rate_hz)
+    X, names, idx = pipeline.extract_matrix(sig, config)
+    return X, _labels(args.labels, config, idx, pipeline.window_count(sig, config)), names, idx
 
 
-def _labels(path, config, n_rows):
-    """The labels for ``n_rows`` feature rows: read from ``path`` and refused
-    unless there is one per row, or made by the config's scheme without one."""
+def _labels(path, config, window_index, n_windows=None):
+    """The labels for the feature rows of windows ``window_index``: read from
+    ``path`` and refused unless there is one per row, or else the config's
+    scheme over ``n_windows`` windows (by default the last index + 1, as for
+    a feature CSV) taken at those indices."""
     if not path:
-        return pipeline.labels_for(config, n_rows)
+        if n_windows is None:
+            n_windows = int(window_index[-1]) + 1
+        return make_labels(n_windows, config.labels, window_index)
     y = dataio.read_labels_csv(path)
-    if len(y) != n_rows:
-        raise InputError(f"{path}: label count {len(y)} does not match {n_rows} feature rows")
+    if len(y) != len(window_index):
+        raise InputError(
+            f"{path}: label count {len(y)} does not match {len(window_index)} feature rows"
+        )
     return y
 
 
@@ -137,7 +144,7 @@ def cmd_extract(args) -> int:
     X, names, idx = pipeline.extract_matrix(sig, config)
     dataio.write_features_csv(args.out, X, names, idx, config.config_hash())
     if args.labels_out:
-        y = pipeline.labels_for(config, len(X))
+        y = make_labels(pipeline.window_count(sig, config), config.labels, idx)
         dataio.write_labels_csv(args.labels_out, y, config.config_hash())
     print(f"wrote {X.shape[0]} windows x {X.shape[1]} features to {args.out}")
     return 0
@@ -185,8 +192,8 @@ def cmd_ablate(args) -> int:
     X, y, _, _ = _load_features(args, config)
     eval_X, eval_y = X, y
     if args.eval_features:
-        eval_X, _, _ = dataio.read_features_csv(args.eval_features)
-        eval_y = _labels(args.eval_labels, config, len(eval_X))
+        eval_X, _, eval_idx = dataio.read_features_csv(args.eval_features)
+        eval_y = _labels(args.eval_labels, config, eval_idx)
 
     rows = []
     with _out_dir(args.out_dir) as out_dir:
@@ -220,8 +227,8 @@ def cmd_noise(args) -> int:
 def cmd_crossdomain(args) -> int:
     model, config = _load_model(args)
     source_X, _, _ = dataio.read_features_csv(args.source_features)
-    target_X, _, _ = dataio.read_features_csv(args.target_features)
-    target_y = _labels(args.target_labels, config, len(target_X))
+    target_X, _, target_idx = dataio.read_features_csv(args.target_features)
+    target_y = _labels(args.target_labels, config, target_idx)
     aligned, unaligned = pipeline.crossdomain_predictions(model, source_X, target_X, config)
     payload = {
         "aligned": MetricReport.compute(target_y, aligned).to_dict(),

@@ -176,8 +176,9 @@ def write_features_csv(path, matrix, names, window_index=None, config_hash: str 
 
 
 def read_features_csv(path):
-    """Returns (matrix, names, window_index). Window indices must strictly
-    increase down the file; gaps (skipped degenerate windows) are allowed."""
+    """Returns (matrix, names, window_index). Window indices must start at 0
+    or above and strictly increase down the file; gaps (skipped degenerate
+    windows) are allowed."""
     lines = _data_lines(path)
     header = _row(path, _records(lines), [])
     if len(lines) < 2:
@@ -186,6 +187,8 @@ def read_features_csv(path):
         raise InputError(f"{path}: first column must be window_index, got {header[0]!r}")
     faults = ("{n} values, header has {width}", "non-numeric value", "non-finite feature value")
     idx, matrix = _parse(path, lines, 1, len(header), int, faults, by_row=True)
+    if idx[0] < 0:
+        raise InputError(f"{_line(path, 1)}: window_index {idx[0]} is negative")
     out_of_order = np.flatnonzero(idx[1:] <= idx[:-1])
     if out_of_order.size:
         row = int(out_of_order[0]) + 1

@@ -21,9 +21,10 @@ class LabelConfig:
     )
 
 
-def make_labels(n_windows: int, config: LabelConfig | None = None) -> np.ndarray:
+def make_labels(n_windows: int, config: LabelConfig | None = None, window_index=None) -> np.ndarray:
     """Per-window remaining-life fractions for n_windows windows, non-increasing
-    from 1 to 0, under a linear or piecewise degradation model.
+    from 1 to 0, under a linear or piecewise degradation model; with
+    ``window_index``, the labels of those windows alone, in its order.
 
     linear: y_i = 1 - i/(n-1).
     piecewise: y_i = 1 up to the knee at knee_fraction*(n-1), then linear
@@ -34,11 +35,13 @@ def make_labels(n_windows: int, config: LabelConfig | None = None) -> np.ndarray
     schema.check(config, "labels.")
     if n_windows < 2:
         raise ParameterError(f"need at least 2 windows for labels, got {n_windows}")
-    i = np.arange(n_windows, dtype=np.float64)
+    if window_index is None:
+        window_index = np.arange(n_windows)
+    i = np.asarray(window_index, dtype=np.float64)
     last = n_windows - 1
     if config.scheme == "linear":
         return 1.0 - i / last
     knee = config.knee_fraction * last
     values = np.where(i <= knee, 1.0, (last - i) / (last - knee))
-    values[-1] = 0.0
+    values[i == last] = 0.0
     return values

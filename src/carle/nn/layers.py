@@ -39,20 +39,15 @@ def _fan_in_uniform(rng, shape, fan_in):
 
 
 class Layer:
-    def __init__(self):
-        self.params = {}
-        self.grads = {}
-
-    def _init_grads(self):
-        self.grads = {key: np.zeros_like(p) for key, p in self.params.items()}
+    def __init__(self, name, params):
+        self.name = name
+        self.params = params
+        self.grads = {key: np.zeros_like(p) for key, p in params.items()}
 
     def zero_grads(self):
         # in place: the arrays may be views of a network's flat gradient vector
         for g in self.grads.values():
             g.fill(0.0)
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     def _last_cache(self):
         """The cache of the last caching forward; InputError before the first."""
@@ -65,13 +60,11 @@ class Dense(Layer):
     """Affine map over the last axis, with optional ReLU."""
 
     def __init__(self, d_in, d_out, rng, name, activation=None, bias=True):
-        super().__init__()
-        self.name = name
-        self.activation = activation
-        self.params["W"] = _fan_in_uniform(rng, (d_in, d_out), d_in)
+        params = {"W": _fan_in_uniform(rng, (d_in, d_out), d_in)}
         if bias:
-            self.params["b"] = np.zeros(d_out)
-        self._init_grads()
+            params["b"] = np.zeros(d_out)
+        super().__init__(name, params)
+        self.activation = activation
 
     def forward(self, x, keep=True):
         out = x @ self.params["W"]
@@ -103,15 +96,13 @@ class Conv1d(Layer):
     columns (Chellapilla, Puri & Simard, 2006)."""
 
     def __init__(self, c_in, filters, kernel_size, rng, name, l2=0.0, bias=True):
-        super().__init__()
-        self.name = name
+        params = {"W": _fan_in_uniform(rng, (kernel_size, c_in, filters), kernel_size * c_in)}
+        if bias:
+            params["b"] = np.zeros(filters)
+        super().__init__(name, params)
         self.kernel_size = kernel_size
         self.l2 = l2
         self.pad_left = (kernel_size - 1) // 2
-        self.params["W"] = _fan_in_uniform(rng, (kernel_size, c_in, filters), kernel_size * c_in)
-        if bias:
-            self.params["b"] = np.zeros(filters)
-        self._init_grads()
 
     def _taps(self, t):
         """(tap, source offset, first and end output step) of each kernel tap
@@ -175,13 +166,12 @@ class Lstm(Layer):
     """
 
     def __init__(self, d_in, units, rng, name):
-        super().__init__()
-        self.name = name
+        super().__init__(name, {
+            "Wx": _fan_in_uniform(rng, (d_in, 4 * units), d_in),
+            "Wh": _fan_in_uniform(rng, (units, 4 * units), units),
+            "b": np.zeros(4 * units),
+        })
         self.units = units
-        self.params["Wx"] = _fan_in_uniform(rng, (d_in, 4 * units), d_in)
-        self.params["Wh"] = _fan_in_uniform(rng, (units, 4 * units), units)
-        self.params["b"] = np.zeros(4 * units)
-        self._init_grads()
 
     def forward(self, x, keep=True):
         b, t, _ = x.shape
@@ -268,20 +258,19 @@ class MultiHeadAttention(Layer):
     """
 
     def __init__(self, d_in, heads, model_dim, rng, name):
-        super().__init__()
         if model_dim % heads != 0:
             raise ParameterError(f"model_dim {model_dim} not divisible by heads {heads}")
-        self.name = name
+        params = {}
+        for key in ("Wq", "Wk", "Wv"):
+            params[key] = _fan_in_uniform(rng, (d_in, model_dim), d_in)
+            if key != "Wk":
+                params[key.replace("W", "b")] = np.zeros(model_dim)
+        params["Wo"] = _fan_in_uniform(rng, (model_dim, d_in), model_dim)
+        params["bo"] = np.zeros(d_in)
+        super().__init__(name, params)
         self.heads = heads
         self.head_dim = model_dim // heads
         self.model_dim = model_dim
-        for key in ("Wq", "Wk", "Wv"):
-            self.params[key] = _fan_in_uniform(rng, (d_in, model_dim), d_in)
-            if key != "Wk":
-                self.params[key.replace("W", "b")] = np.zeros(model_dim)
-        self.params["Wo"] = _fan_in_uniform(rng, (model_dim, d_in), model_dim)
-        self.params["bo"] = np.zeros(d_in)
-        self._init_grads()
 
     def _split(self, z, b, t):
         return z.reshape(b, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)

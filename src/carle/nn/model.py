@@ -143,13 +143,6 @@ class ResCnnUnit:
         return d
 
 
-def _chunk_pairs(filters, kernels):
-    pairs = []
-    for start in range(0, len(filters), 2):
-        pairs.append((filters[start:start + 2], kernels[start:start + 2]))
-    return pairs
-
-
 class CarleNet:
     def __init__(
         self,
@@ -166,44 +159,49 @@ class CarleNet:
         self.input_width = input_width
         self.use_residual = use_residual
         rng = np.random.default_rng(np.random.SeedSequence(seed))
+        # Every layer in construction order, which is the order of the
+        # initial weights' random draws; parameters(), the flat vectors and
+        # a checkpoint's nn:: members all follow it.
+        self.layers = []
 
         self.cnn_units = []
         ch = input_width
-        for j, (fs, ks) in enumerate(_chunk_pairs(profile.conv_filters, profile.conv_kernels)):
-            self.cnn_units.append(
-                ResCnnUnit(ch, fs, ks, profile.conv_l2, use_residual, rng, f"res_cnn.unit{j}")
-            )
+        for j in range(0, len(profile.conv_filters), 2):
+            fs, ks = profile.conv_filters[j:j + 2], profile.conv_kernels[j:j + 2]
+            unit = ResCnnUnit(ch, fs, ks, profile.conv_l2, use_residual, rng, f"res_cnn.unit{j // 2}")
+            self.cnn_units.append(unit)
+            self.layers += unit.layers()
             ch = fs[-1]
-        self.cnn_mha = (
-            MultiHeadAttention(ch, profile.mha_heads, profile.mha_model_dim, rng, "res_cnn.mha")
-            if use_mha
-            else None
-        )
+        self.cnn_mha = None
+        if use_mha:
+            self.cnn_mha = self._add(
+                MultiHeadAttention(ch, profile.mha_heads, profile.mha_model_dim, rng, "res_cnn.mha")
+            )
 
         self.lstms = []
         d = ch
         for j, units in enumerate(profile.lstm_units):
-            self.lstms.append(Lstm(d, units, rng, f"res_lstm.lstm{j}"))
+            self.lstms.append(self._add(Lstm(d, units, rng, f"res_lstm.lstm{j}")))
             d = units
         self.lstm_proj = None
         if use_residual and ch != d:
-            self.lstm_proj = Dense(ch, d, rng, "res_lstm.proj", bias=False)
+            self.lstm_proj = self._add(Dense(ch, d, rng, "res_lstm.proj", bias=False))
         self.cross_proj = None
         if cross_block_residual:
-            self.cross_proj = Dense(input_width, d, rng, "cross_block.proj", bias=False)
-        self.lstm_mha = (
-            MultiHeadAttention(d, profile.mha_heads, profile.mha_model_dim, rng, "res_lstm.mha")
-            if use_mha
-            else None
-        )
+            self.cross_proj = self._add(Dense(input_width, d, rng, "cross_block.proj", bias=False))
+        self.lstm_mha = None
+        if use_mha:
+            self.lstm_mha = self._add(
+                MultiHeadAttention(d, profile.mha_heads, profile.mha_model_dim, rng, "res_lstm.mha")
+            )
 
         self.denses = []
         d_flat = profile.seq_len * d
         for j, units in enumerate(profile.linear_units):
             act = "relu" if j < len(profile.linear_units) - 1 else None
-            self.denses.append(Dense(d_flat, units, rng, f"linear.dense{j}", activation=act))
+            self.denses.append(self._add(Dense(d_flat, units, rng, f"linear.dense{j}", activation=act)))
             d_flat = units
-        self.head = Dense(d_flat, 1, rng, "head")
+        self.head = self._add(Dense(d_flat, 1, rng, "head"))
 
         # The net owns its parameter storage: every layer's params and grads
         # become views of one weight and one gradient vector (a flat
@@ -212,7 +210,7 @@ class CarleNet:
         self.flat_params = np.concatenate([arr.ravel() for _, arr in self.parameters()])
         self.flat_grads = np.zeros_like(self.flat_params)
         offset = 0
-        for layer in self._layers():
+        for layer in self.layers:
             for key, arr in layer.params.items():
                 end = offset + arr.size
                 layer.params[key] = self.flat_params[offset:end].reshape(arr.shape)
@@ -221,43 +219,22 @@ class CarleNet:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _layers(self):
-        out = []
-        for unit in self.cnn_units:
-            out.extend(unit.layers())
-        if self.cnn_mha is not None:
-            out.append(self.cnn_mha)
-        out.extend(self.lstms)
-        if self.lstm_proj is not None:
-            out.append(self.lstm_proj)
-        if self.cross_proj is not None:
-            out.append(self.cross_proj)
-        if self.lstm_mha is not None:
-            out.append(self.lstm_mha)
-        out.extend(self.denses)
-        out.append(self.head)
-        return out
+    def _add(self, layer):
+        self.layers.append(layer)
+        return layer
 
     def parameters(self):
         """Ordered (name, array) pairs; arrays are live references."""
-        out = []
-        for layer in self._layers():
-            for key, val in layer.params.items():
-                out.append((f"{layer.name}.{key}", val))
-        return out
+        return [(f"{layer.name}.{key}", arr) for layer in self.layers for key, arr in layer.params.items()]
 
     def gradients(self):
-        out = []
-        for layer in self._layers():
-            for key, val in layer.grads.items():
-                out.append((f"{layer.name}.{key}", val))
-        return out
+        return [(f"{layer.name}.{key}", arr) for layer in self.layers for key, arr in layer.grads.items()]
 
     def zero_grads(self):
         self.flat_grads.fill(0.0)
 
     def parameter_count(self) -> int:
-        return sum(arr.size for _, arr in self.parameters())
+        return self.flat_params.size
 
     def attention_param_count(self) -> int:
         return sum(arr.size for name, arr in self.parameters() if ".mha." in name)
@@ -358,14 +335,10 @@ class CarleNet:
         return dh + dx_extra
 
     def reg_loss(self) -> float:
-        total = 0.0
-        for layer in self._layers():
-            if isinstance(layer, Conv1d):
-                total += layer.reg_loss()
-        return total
+        return sum(layer.reg_loss() for layer in self.layers if isinstance(layer, Conv1d))
 
     def add_reg_grads(self):
-        for layer in self._layers():
+        for layer in self.layers:
             if isinstance(layer, Conv1d):
                 layer.add_reg_grads()
 

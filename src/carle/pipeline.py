@@ -21,9 +21,9 @@ from .features import ExtractionConfig, extract_features
 from .labels import LabelConfig, make_labels
 from .metrics import MetricReport
 from .nn.model import PROFILES, CarleNet, get_profile
-from .nn.train import TrainConfig, train
-from .signal import (MultiChannelSignal, NoiseConfig, SynthConfig, SynthProfile, inject_noise,
-                     synth_run_to_failure)
+from .nn.train import TrainConfig, TrainReport, train
+from .signal import (MultiChannelSignal, NoiseConfig, SynthConfig, SynthProfile, extract_windows,
+                     inject_noise, synth_run_to_failure)
 
 VARIANTS = ("carle", "carl", "crle", "cale")
 
@@ -184,12 +184,18 @@ def labels_for(config: ExperimentConfig, n_windows: int) -> np.ndarray:
     return make_labels(n_windows, config.labels)
 
 
+def window_count(signal: MultiChannelSignal, config: ExperimentConfig) -> int:
+    """How many windows extraction cuts from the signal, skipped ones included."""
+    ext = config.extraction_config()
+    return len(extract_windows(signal, ext.window_len, ext.stride))
+
+
 @dataclass
 class TrainedModel:
     net: CarleNet
     forest: forest_mod.Forest | None
     scaler: Scaler | None
-    report: object
+    report: TrainReport
     variant: str
     config: ExperimentConfig | None = None  # the config it was trained from
 
@@ -294,9 +300,29 @@ def save_model(path, model: TrainedModel, config: ExperimentConfig):
     save_checkpoint(path, meta, sections)
 
 
+def _stored_report(meta) -> TrainReport:
+    """The training report as a checkpoint header keeps it: the history, the
+    best epoch and whether training diverged."""
+    history = meta["history"]
+    if not (
+        isinstance(history, dict)
+        and sorted(history) == ["loss", "lr", "mae"]
+        and all(isinstance(values, list) for values in history.values())
+        and len({len(values) for values in history.values()}) == 1
+        and all(type(v) in (int, float) for values in history.values() for v in values)
+    ):
+        raise InputError("history must be three equal-length lists of numbers: loss, mae and lr")
+    if type(meta["best_epoch"]) is not int:
+        raise InputError(f"best_epoch must be an int, got {meta['best_epoch']!r}")
+    if type(meta["diverged"]) is not bool:
+        raise InputError(f"diverged must be true or false, got {meta['diverged']!r}")
+    return TrainReport(history, meta["best_epoch"], diverged=meta["diverged"])
+
+
 def load_model(path) -> TrainedModel:
     """The model of a checkpoint, built by build_model from the stored config
-    and variant; the weights, scaler and forest are checked before use."""
+    and variant; the weights, scaler, forest and training report are checked
+    before use."""
     bundle = load_checkpoint(path)
     meta, sections = bundle.meta, bundle.sections
     try:
@@ -321,11 +347,12 @@ def load_model(path) -> TrainedModel:
                 **arrays, n_features=net.profile.linear_units[-1], config=forest_config
             ).validate()
             forest.config = dataclasses.replace(forest_config, n_trees=len(forest.offsets) - 1)
+        report = _stored_report(meta)
     except (ParameterError, InputError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise InputError(f"{path}: unreadable checkpoint (missing {exc})") from exc
-    return TrainedModel(net, forest, scaler, None, meta["variant"], config)
+    return TrainedModel(net, forest, scaler, report, meta["variant"], config)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +407,8 @@ def noise_reports(model: TrainedModel, signal: MultiChannelSignal, config: Exper
     out = {}
     for name, (kind, params) in cases.items():
         sig = signal if kind is None else inject_noise(signal, kind, n, seed)
-        X, _, _ = extract_matrix(sig, config)
-        y_true = labels_for(config, len(X))
+        X, _, idx = extract_matrix(sig, config)
+        y_true = make_labels(window_count(sig, config), config.labels, idx)
         y_pred = model.predict(X)
         report = MetricReport.compute(y_true, y_pred).to_dict()
         report["noise_params"] = {"kind": kind, **params}

@@ -12,6 +12,7 @@ import carle
 from carle import checkpoint, pipeline
 from carle.checkpoint import load_checkpoint
 from carle.cli import main
+from carle.metrics import MetricReport
 from carle.dataio import (
     read_features_csv,
     read_labels_csv,
@@ -250,6 +251,76 @@ class TestSnrSweep:
         assert len(lines) == 4
 
 
+def _zeroed(path, out, start, stop):
+    """The signal CSV at ``path`` with samples [start, stop) of every channel
+    set to zero, which makes extraction skip the windows they fill."""
+    sig = read_signal_csv(path, 1024.0)
+    channels = sig.channels.copy()
+    channels[:, start:stop] = 0.0
+    write_signal_csv(out, MultiChannelSignal(channels, sig.sample_rate_hz))
+    return out
+
+
+def _predictions(path):
+    """(window_index, y_true) columns of a predictions CSV."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    return np.array([int(r[0]) for r in rows]), np.array([float(r[1]) for r in rows])
+
+
+class TestLabelsFollowWindowIndex:
+    """A feature row's label is the scheme's label of its window index among
+    all the recording's windows, so a skipped window moves no other label."""
+
+    def test_extract_labels_skip_a_zeroed_window(self, tmp_path):
+        flags = ["--seed", "7", "--set", "synth.duration_s=5"]
+        assert run_cli("synth", "--out", str(tmp_path / "sig.csv"), *flags) == 0
+        sig = _zeroed(tmp_path / "sig.csv", tmp_path / "zeroed.csv", 1024, 1792)
+        assert run_cli(
+            "extract", "--signal", str(sig), "--out", str(tmp_path / "f.csv"),
+            "--labels-out", str(tmp_path / "y.csv"), *flags
+        ) == 0
+        idx = read_features_csv(tmp_path / "f.csv")[2]
+        assert 5 not in idx and {4, 6} <= set(idx)
+        y = read_labels_csv(tmp_path / "y.csv")
+        assert np.array_equal(y, pipeline.labels_for(pipeline.ExperimentConfig(), 20)[idx])
+        assert y[list(idx).index(6)] == 1 - 6 / 19
+
+    def test_predict_and_noise_on_a_signal_with_a_zeroed_window(self, workspace, tmp_path):
+        root, common = workspace
+        sig = _zeroed(root / "sig.csv", tmp_path / "zeroed.csv", 128 * 20, 128 * 23)
+        out = tmp_path / "pred.csv"
+        assert run_cli(
+            "predict", "--checkpoint", str(root / "run" / "checkpoint.npz"),
+            "--signal", str(sig), "--out", str(out), *common
+        ) == 0
+        model = pipeline.load_model(root / "run" / "checkpoint.npz")
+        full = pipeline.labels_for(model.config, 48)
+        idx, y_true = _predictions(out)
+        assert 21 not in idx and len(idx) == 47
+        assert np.array_equal(y_true, full[idx])
+
+        signal = read_signal_csv(sig, 1024.0)
+        clean = pipeline.noise_reports(model, signal, model.config)["clean"]
+        X, _, idx = pipeline.extract_matrix(signal, model.config)
+        assert clean["mae"] == MetricReport.compute(full[idx], model.predict(X)).mae
+
+    def test_feature_csv_with_a_gap(self, workspace, tmp_path):
+        root, common = workspace
+        X, names, idx = read_features_csv(root / "feats.csv")
+        kept = ~np.isin(idx, [5, 6])
+        gap = tmp_path / "gap.csv"
+        write_features_csv(gap, X[kept], names, idx[kept])
+        out = tmp_path / "pred.csv"
+        assert run_cli(
+            "predict", "--checkpoint", str(root / "run" / "checkpoint.npz"),
+            "--features", str(gap), "--out", str(out), *common
+        ) == 0
+        got_idx, y_true = _predictions(out)
+        assert np.array_equal(got_idx, idx[kept])
+        want = pipeline.labels_for(pipeline.load_model(root / "run" / "checkpoint.npz").config, 48)
+        assert np.array_equal(y_true, want[idx[kept]])
+
+
 class TestErrors:
     def test_missing_signal_exits_2(self, tmp_path):
         assert run_cli("extract", "--signal", str(tmp_path / "none.csv"), "--out", str(tmp_path / "f.csv")) == 2
@@ -359,6 +430,17 @@ def _duplicate_window_index_train(root, tmp_path):
 _duplicate_window_index_train.names = "duplicate_feats.csv:6"
 
 
+def _negative_window_index(root, tmp_path):
+    # a row's label is taken at its window index, which a negative one lacks
+    X, names, idx = read_features_csv(root / "feats.csv")
+    path = tmp_path / "neg_feats.csv"
+    write_features_csv(path, X, names, idx - 1)
+    return ["predict", "--checkpoint", str(root / "run" / "checkpoint.npz"), "--features", str(path)]
+
+
+_negative_window_index.names = "neg_feats.csv:2: window_index -1 is negative"
+
+
 def _nan_feature_row_train(root, tmp_path):
     path = _feature_csv_with(root, tmp_path, "nan")
     return ["train", "--features", str(path), "--labels", str(root / "labels.csv")]
@@ -413,6 +495,17 @@ def _edited_checkpoint(edit, names, row_id):
 
     make_args.names = names
     return pytest.param(make_args, id=row_id)
+
+
+def _header_set(key, value):
+    """A row that predicts from a copy of the workspace checkpoint whose
+    header ``key`` is ``value``."""
+    def edit(members):
+        meta = json.loads(bytes(members["meta"]).decode())
+        meta[key] = value
+        members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+    return _edited_checkpoint(edit, key, f"{key}={json.dumps(value)}")
 
 
 def _forest_member_set(member, value):
@@ -693,7 +786,7 @@ def _run_carle(args):
     [
         _garbage_checkpoint, _truncated_checkpoint, _nan_feature_row, _bad_sigmas,
         _cyclic_checkpoint, _list_header_checkpoint, _nan_feature_row_train, _non_numeric_feature,
-        _reversed_feature_rows, _duplicate_window_index_train,
+        _reversed_feature_rows, _duplicate_window_index_train, _negative_window_index,
         _unknown_forest_key, _json_array_config, _negative_seed_train,
         _eval_labels_alone, _features_and_signal, _unclosed_quote_signal,
         _huge_field_signal,
@@ -739,6 +832,12 @@ def _run_carle(args):
         _forest_member_set("threshold", np.inf),
         _forest_member_set("value", np.nan),
         _forest_member_set("value", np.inf),
+        _header_set("history", {"loss": [0.1], "mae": [0.1, 0.2], "lr": [0.001]}),
+        _header_set("history", [[0.1], [0.1], [0.001]]),
+        _header_set("history", {"loss": ["0.1"], "mae": [0.1], "lr": [0.001]}),
+        _header_set("best_epoch", 2.0),
+        _header_set("best_epoch", None),
+        _header_set("diverged", 0),
         _input_width(0),
         _input_width(-1),
         _input_width("7"),

@@ -51,3 +51,10 @@ def test_validation():
         make_labels(5, LabelConfig("piecewise", knee_fraction=1.0))
     with pytest.raises(ParameterError):
         make_labels(5, LabelConfig("cubic"))
+
+
+@pytest.mark.parametrize("config", [LabelConfig("linear"), LabelConfig("piecewise", 0.3)])
+def test_window_index_takes_the_full_run_labels(config):
+    idx = np.array([0, 3, 4, 9, 19])
+    assert np.array_equal(make_labels(20, config, idx), make_labels(20, config)[idx])
+    assert make_labels(10**15, config, [0])[0] == 1.0

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -79,7 +80,7 @@ class TestLogits:
 def _caches(net):
     """Each layer's and conv unit's private attributes (its backward cache),
     keyed by (owner id, name)."""
-    owners = [*net._layers(), *net.cnn_units]
+    owners = [*net.layers, *net.cnn_units]
     return {(id(obj), key): val for obj in owners for key, val in vars(obj).items()
             if key.startswith("_")}
 
@@ -138,7 +139,7 @@ class TestInfer:
         x = _batch(rng, 8)
         net.logits(x)
         inspectors = [lstm.gate_ranges for lstm in net.lstms]
-        inspectors += [layer.attention_weights for layer in net._layers() if hasattr(layer, "heads")]
+        inspectors += [layer.attention_weights for layer in net.layers if hasattr(layer, "heads")]
         assert len(inspectors) > len(net.lstms) > 0
         for inspect in inspectors:
             with pytest.raises(InputError, match=r": no forward pass cached yet; run forward with keep=True first$"):
@@ -214,7 +215,7 @@ class TestAblationWiring:
         crossed = CarleNet(14, "toy", cross_block_residual=True, seed=0)
         assert crossed.cross_proj is not None
         extra = crossed.parameter_count() - base.parameter_count()
-        assert extra == crossed.cross_proj.param_count()
+        assert extra == sum(p.size for p in crossed.cross_proj.params.values())
         out_a = base.forward(_batch(rng, 2))[1]
         out_b = crossed.forward(_batch(np.random.default_rng(12345), 2))[1]
         assert out_a.shape == out_b.shape
@@ -311,3 +312,62 @@ class TestWeightsRoundTrip:
     def test_unknown_profile(self):
         with pytest.raises(ParameterError):
             CarleNet(14, "mystery", seed=0)
+
+
+def _layout_digest(profile, use_mha, use_residual, cross_block_residual):
+    """SHA-256 prefix of a net's parameter names and shapes, its initial flat
+    weights at seed 3, and the flat gradients and loss of one loss_and_grads."""
+    prof = get_profile(profile)
+    net = CarleNet(14, profile, use_mha=use_mha, use_residual=use_residual,
+                   cross_block_residual=cross_block_residual, seed=3)
+    h = hashlib.sha256(repr([(name, arr.shape) for name, arr in net.parameters()]).encode())
+    h.update(net.flat_params.tobytes())
+    rng = np.random.default_rng(3)
+    loss, _ = net.loss_and_grads(rng.normal(size=(3, prof.seq_len, 14)), rng.uniform(0, 1, 3))
+    h.update(net.flat_grads.tobytes())
+    h.update(repr(loss).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "profile, use_mha, use_residual, cross_block_residual, digest",
+    [
+        ("xjtu", True, True, True, "f5fc6499e7480172"),
+        ("xjtu", True, True, False, "001596cfb7c4c529"),
+        ("xjtu", True, False, True, "e863f579e4a0d1ca"),
+        ("xjtu", True, False, False, "ea6d20b4d2391e25"),
+        ("xjtu", False, True, True, "0f90da6495bf5ebf"),
+        ("xjtu", False, True, False, "60a3500504da4dd3"),
+        ("xjtu", False, False, True, "6af25df4c6fe68eb"),
+        ("xjtu", False, False, False, "f2e21773c034ac28"),
+        ("pronostia", True, True, True, "736ea6c08fd9e98d"),
+        ("pronostia", True, True, False, "aea4efbf2cc6236a"),
+        ("pronostia", True, False, True, "9096ce6a0cbf5a99"),
+        ("pronostia", True, False, False, "c83a9a0a24c3a033"),
+        ("pronostia", False, True, True, "68a00b8b145d522b"),
+        ("pronostia", False, True, False, "ed1d5d7b9458bb91"),
+        ("pronostia", False, False, True, "1dd95e4f8b6b51fb"),
+        ("pronostia", False, False, False, "e29868864b087402"),
+        ("toy", True, True, True, "c203c8f579edf01e"),
+        ("toy", True, True, False, "750b1b98237639c4"),
+        ("toy", True, False, True, "7b493734a524e389"),
+        ("toy", True, False, False, "5dc0551a44f79d23"),
+        ("toy", False, True, True, "f075d4917ef4fa79"),
+        ("toy", False, True, False, "40dfbf761850077a"),
+        ("toy", False, False, True, "df841d45f93d37a9"),
+        ("toy", False, False, False, "93e22820119bbf52"),
+        ("gradcheck", True, True, True, "00f997e414b1a778"),
+        ("gradcheck", True, True, False, "9abc19582cb68bd9"),
+        ("gradcheck", True, False, True, "37ead32e85ce884c"),
+        ("gradcheck", True, False, False, "42019f79fd29e485"),
+        ("gradcheck", False, True, True, "96b0908520e4ca32"),
+        ("gradcheck", False, True, False, "b15c752652d7b688"),
+        ("gradcheck", False, False, True, "062995a2b796abc9"),
+        ("gradcheck", False, False, False, "8e6389378860b307"),
+    ],
+)
+def test_parameter_layout_pinned(profile, use_mha, use_residual, cross_block_residual, digest):
+    """The order of parameters() (which fixes the checkpoint's nn:: members
+    and the flat vectors), the initial weights' random draws and one step's
+    gradients, for every profile and ablation flag."""
+    assert _layout_digest(profile, use_mha, use_residual, cross_block_residual) == digest

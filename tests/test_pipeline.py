@@ -296,6 +296,17 @@ class TestTrainModel:
             assert ("scaler" in bundle.sections) == config.model.standardize
             assert ("forest" in bundle.sections) == (variant != "carl")
 
+    @pytest.mark.parametrize("variant", ["carle", "carl"])
+    def test_loaded_model_saves_the_same_bytes(self, tmp_path, variant):
+        config = tiny_config()
+        X, y = self._data(config)
+        first, again = tmp_path / "first.npz", tmp_path / "again.npz"
+        save_model(first, train_model(X, y, config, variant), config)
+        loaded = load_model(first)
+        assert loaded.report.epochs_run == config.training.epochs
+        save_model(again, loaded, loaded.config)
+        assert again.read_bytes() == first.read_bytes()
+
     def test_checkpoint_with_attention_key_bias_loads_as_without(self, tmp_path):
         # format-2 files written before the key bias was dropped still carry
         # nn::*.mha.bk members; loading ignores them
