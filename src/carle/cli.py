@@ -154,8 +154,8 @@ def cmd_train(args) -> int:
     config = resolve_config(args)
     X, y, _, idx = _load_features(args, config)
     with _out_dir(args.out_dir) as out_dir:
-        model = pipeline.train_model(X, y, config, args.variant)
-        y_pred = model.predict(X)
+        model = pipeline.train_model(X, y, config, args.variant, idx)
+        y_pred = model.predict(X, idx)
         report = MetricReport.compute(y, y_pred)
 
         chash = config.config_hash()
@@ -175,7 +175,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model, config = _load_model(args)
     X, y, _, idx = _load_features(args, config)
-    y_pred = model.predict(X)
+    y_pred = model.predict(X, idx)
     dataio.write_predictions_csv(args.out, idx, y, y_pred, config.config_hash())
     if args.metrics:
         report = MetricReport.compute(y, y_pred)
@@ -189,8 +189,8 @@ def cmd_ablate(args) -> int:
     if args.eval_labels and not args.eval_features:
         raise InputError("--eval-labels needs --eval-features")
     config = resolve_config(args)
-    X, y, _, _ = _load_features(args, config)
-    eval_X, eval_y = X, y
+    X, y, _, idx = _load_features(args, config)
+    eval_X, eval_y, eval_idx = X, y, idx
     if args.eval_features:
         eval_X, _, eval_idx = dataio.read_features_csv(args.eval_features)
         eval_y = _labels(args.eval_labels, config, eval_idx)
@@ -201,8 +201,8 @@ def cmd_ablate(args) -> int:
             if variant == "carl":  # carle, trained just before, has carl's flags and seeds
                 model = dataclasses.replace(model, forest=None, variant=variant)
             else:
-                model = pipeline.train_model(X, y, config, variant)
-            y_pred = model.predict(eval_X)
+                model = pipeline.train_model(X, y, config, variant, idx)
+            y_pred = model.predict(eval_X, eval_idx)
             report = MetricReport.compute(eval_y, y_pred)
             pipeline.save_model(out_dir / f"{variant}.npz", model, config)
             rows.append([variant, repr(report.mae), repr(report.rmse), repr(report.score)])
@@ -210,7 +210,7 @@ def cmd_ablate(args) -> int:
                 f"{variant}: mae={report.mae:.5f} rmse={report.rmse:.5f} score={report.score:.4f}"
             )
         header = ["variant", "mae", "rmse", "score"]
-        dataio._write_csv(out_dir / "ablation.csv", header, rows, config.config_hash(), line_end="\n")
+        dataio._write_csv(out_dir / "ablation.csv", header, rows, config.config_hash())
     return 0
 
 
@@ -226,10 +226,12 @@ def cmd_noise(args) -> int:
 
 def cmd_crossdomain(args) -> int:
     model, config = _load_model(args)
-    source_X, _, _ = dataio.read_features_csv(args.source_features)
+    source_X, _, source_idx = dataio.read_features_csv(args.source_features)
     target_X, _, target_idx = dataio.read_features_csv(args.target_features)
     target_y = _labels(args.target_labels, config, target_idx)
-    aligned, unaligned = pipeline.crossdomain_predictions(model, source_X, target_X, config)
+    aligned, unaligned = pipeline.crossdomain_predictions(
+        model, source_X, target_X, config, source_idx, target_idx
+    )
     payload = {
         "aligned": MetricReport.compute(target_y, aligned).to_dict(),
         "unaligned": MetricReport.compute(target_y, unaligned).to_dict(),

@@ -5,7 +5,9 @@ Every emitted file carries the resolved config hash: CSVs in a leading
 CSV readers skip blank lines and lines whose first character is ``#``; any
 other ``#`` is an error. Values may be padded or quoted (``"1.0"``) and are
 read by Python's ``float`` (``int`` for ``window_index``). A quote must close
-on the line it opens, right before a comma or the line end.
+on the line it opens, right before a comma or the line end. A reader names
+the first faulty row and, within it, the first of: a quoting fault, a wrong
+width, a bad value, a non-finite value.
 """
 
 import contextlib
@@ -24,25 +26,32 @@ from .signal import MultiChannelSignal
 _PLAIN = b"0123456789.eE+-infatyINFATY, \t\r\n"
 
 
+def _data_mask(lines) -> list[bool]:
+    """Per line, whether it is a data line: neither blank nor a comment.
+    One list, not a call per line, which would slow a long signal's read."""
+    return [line[0] != "#" and not line.isspace() for line in lines]
+
+
 def _data_lines(path) -> list[str]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return [line for line in fh if line[0] != "#" and not line.isspace()]
+            lines = fh.readlines()
     except UnicodeDecodeError:
         # only a line that is not UTF-8 changes when its bad bytes are replaced
         with open(path, "rb") as fh:
             line = next(k for k, raw in enumerate(fh, 1) if raw.decode(errors="replace").encode() != raw)
         raise InputError(f"{path}:{line}: not UTF-8 text") from None
+    return list(itertools.compress(lines, _data_mask(lines)))
 
 
 def _line(path, row: int) -> str:
     """``path:line`` of data line ``row`` (0-based), for error messages."""
     with open(path, newline="", encoding="utf-8") as fh:
-        numbers = (k for k, line in enumerate(fh, 1) if line[0] != "#" and not line.isspace())
+        numbers = itertools.compress(itertools.count(1), _data_mask(fh))
         return f"{path}:{next(itertools.islice(numbers, row, None))}"
 
 
-def _parse(path, lines, start, width, first, faults, by_row=False):
+def _parse(path, lines, start, width, first, faults):
     """Data rows ``lines[start:]`` of ``width`` columns as (first column of
     type ``first`` or None, float64 matrix of the rest). numpy's C parser
     reads a clean file; a file it refuses, or with a non-finite value, goes
@@ -55,37 +64,31 @@ def _parse(path, lines, start, width, first, faults, by_row=False):
         with contextlib.suppress(ValueError):
             table = np.loadtxt(body, dtype, delimiter=",", comments=None, ndmin=1)
     if table is None or not np.isfinite(table["values"]).all():
-        table = np.array(_parse_rows(path, lines, start, width, first, faults, by_row), dtype)
+        table = np.array(_parse_rows(path, lines, start, width, first, faults), dtype)
     first_column = np.ascontiguousarray(table["first"]) if first else None
     return first_column, np.ascontiguousarray(table["values"])
 
 
-def _parse_rows(path, lines, start, width, first, faults, by_row):
+def _parse_rows(path, lines, start, width, first, faults):
     """The grammar: csv tokens read by ``int`` or ``float``. Accepts what
-    numpy refuses (``1_0``, ``"1.0"``) or raises the first of ``faults``
-    (wrong width, may use ``{n}`` and ``{width}``; bad value; non-finite
-    value) that applies: per row in turn with ``by_row``, else by fault. A
-    quoting fault counts as a bad value."""
+    numpy refuses (``1_0``, ``"1.0"``) or raises at the first faulty row,
+    naming the first of its faults in this order: quoting, wrong width
+    (``faults[0]``, may use ``{n}`` and ``{width}``), bad value, non-finite."""
     bad_width, bad_value, non_finite = faults
-    rows, found = [], []
-    for i, row, quoting in _records(lines, start):
-        if quoting:
-            found.append((1, i, quoting))
-            continue
-        if len(row) != width:
-            found.append((0 if by_row else 2, i, bad_width.format(n=len(row), width=width)))
-        try:
-            lead = [np.dtype(first).type(first(row[0]))] if first else []
-            values = [float(tok) for tok in row[len(lead):]]
-        except (ValueError, OverflowError):
-            found.append((1, i, bad_value))
-            continue
-        if not np.isfinite(values).all():
-            found.append((3, i, non_finite))
+    rows = []
+    for i, row, fault in _records(lines, start):
+        if not fault and len(row) != width:
+            fault = bad_width.format(n=len(row), width=width)
+        if not fault:
+            try:
+                lead = [np.dtype(first).type(first(row[0]))] if first else []
+                values = [float(tok) for tok in row[len(lead):]]
+                fault = "" if np.isfinite(values).all() else non_finite
+            except (ValueError, OverflowError):
+                fault = bad_value
+        if fault:
+            raise InputError(f"{_line(path, i)}: {fault}")
         rows.append((*lead, values))
-    if found:
-        _, i, message = min(found, key=lambda f: (f[1], f[0]) if by_row else f)
-        raise InputError(f"{_line(path, i)}: {message}")
     return rows
 
 
@@ -146,13 +149,13 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def _write_csv(path, header, rows, config_hash: str, line_end: str = "\r\n"):
+def _write_csv(path, header, rows, config_hash: str):
     """Write ``header`` and then ``rows`` with the csv module, after a
     ``# config_hash=`` comment line when a hash is given."""
     with open(path, "w", newline="") as fh:
         if config_hash:
             fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh, lineterminator=line_end)
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -186,7 +189,7 @@ def read_features_csv(path):
     if header[0] != "window_index":
         raise InputError(f"{path}: first column must be window_index, got {header[0]!r}")
     faults = ("{n} values, header has {width}", "non-numeric value", "non-finite feature value")
-    idx, matrix = _parse(path, lines, 1, len(header), int, faults, by_row=True)
+    idx, matrix = _parse(path, lines, 1, len(header), int, faults)
     if idx[0] < 0:
         raise InputError(f"{_line(path, 1)}: window_index {idx[0]} is negative")
     out_of_order = np.flatnonzero(idx[1:] <= idx[:-1])
@@ -201,7 +204,7 @@ def read_features_csv(path):
 
 def write_labels_csv(path, values, config_hash: str = ""):
     rows = ([repr(float(v))] for v in np.asarray(values).ravel())
-    _write_csv(path, ["rul"], rows, config_hash, line_end="\n")
+    _write_csv(path, ["rul"], rows, config_hash)
 
 
 def read_labels_csv(path) -> np.ndarray:

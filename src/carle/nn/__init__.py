@@ -1,6 +1,6 @@
 from .layers import Conv1d, Dense, Lstm, MultiHeadAttention
 from .model import PROFILES, CarleNet, ModelProfile, ResCnnUnit, get_profile
-from .train import RmsProp, TrainConfig, TrainReport, train
+from .train import RmsProp, TrainConfig, TrainReport
 
 __all__ = [
     "Conv1d",
@@ -15,5 +15,4 @@ __all__ = [
     "RmsProp",
     "TrainConfig",
     "TrainReport",
-    "train",
 ]

@@ -366,12 +366,10 @@ class CarleNet:
         batch. The forwards keep no layer cache (stored activations pay only
         when a backward follows; Chen et al., 2016), so nothing of them
         outlives the call, and the caches of an earlier forward stay for
-        its backward. A batch under 2 * INFER_ROWS is one forward."""
+        its backward. A batch under 2 * INFER_ROWS is one block."""
         x = self._checked(batch)
         n = len(x)
-        if n < 2 * INFER_ROWS:
-            return self.forward(x, keep=False)
-        starts = range(0, n - INFER_ROWS + 1, INFER_ROWS)
+        starts = range(0, max(n - INFER_ROWS, 0) + 1, INFER_ROWS)
         blocks = [self.forward(x[lo:hi], keep=False) for lo, hi in zip(starts, [*starts[1:], n])]
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
 

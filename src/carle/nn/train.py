@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import schema
+from .. import metrics, schema
 from ..errors import InputError, NumericalError
 
 log = logging.getLogger(__name__)
@@ -78,8 +78,7 @@ class TrainReport:
 
 def _epoch_metrics(net, X, y):
     logits, pred = net.infer(X)
-    resid = pred - y
-    return float(np.sqrt(np.mean(resid**2))), float(np.mean(np.abs(resid))), logits
+    return metrics.rmse(y, pred), metrics.mae(y, pred), logits
 
 
 def train(net, X, y, config: TrainConfig = None, seed: int = 0) -> TrainReport:

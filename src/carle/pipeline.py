@@ -159,15 +159,26 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def build_sequences(features: np.ndarray, seq_len: int) -> np.ndarray:
-    """Trailing window of seq_len feature rows per labelled window.
+def build_sequences(features: np.ndarray, seq_len: int, window_index=None) -> np.ndarray:
+    """Per feature row, the rows of the seq_len windows ending at its window.
 
-    The left edge clamps to the first row, so every window keeps exactly one
-    sequence (and later one logit row).
+    Row r's sequence covers windows ``window_index[r] - seq_len + 1`` to
+    ``window_index[r]`` (by default the rows are consecutive windows); each
+    window takes the row of the latest kept window at or before it, and a
+    window before the first kept one takes the first row, so every row keeps
+    exactly one sequence (and later one logit row).
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    idx = np.arange(len(features))[:, None] - np.arange(seq_len - 1, -1, -1)[None, :]
-    return features[np.clip(idx, 0, None)]
+    n = len(features)
+    idx = np.arange(n) if window_index is None else np.asarray(window_index)
+    if idx.dtype.kind in "iu":
+        idx = idx.astype(np.int64, copy=False)
+    if not (idx.shape == (n,) and idx.dtype == np.int64 and (idx[1:] > idx[:-1]).all()):
+        raise InputError(
+            f"window_index must be {n} strictly increasing integers, one per feature row"
+        )
+    windows = idx[:, None] - np.arange(seq_len - 1, -1, -1)
+    return features[np.clip(np.searchsorted(idx, windows, side="right") - 1, 0, None)]
 
 
 def extract_matrix(signal: MultiChannelSignal, config: ExperimentConfig):
@@ -199,18 +210,18 @@ class TrainedModel:
     variant: str
     config: ExperimentConfig | None = None  # the config it was trained from
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        seqs = self._sequences(X)
+    def predict(self, X: np.ndarray, window_index=None) -> np.ndarray:
+        seqs = self._sequences(X, window_index)
         logits, scalar = self.net.infer(seqs)
         if self.forest is not None:
             return self.forest.predict(logits)
         # forest-less variant consumes the scalar head; labels are normalised
         return np.clip(scalar, 0.0, 1.0)
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return self.net.logits(self._sequences(X))
+    def logits(self, X: np.ndarray, window_index=None) -> np.ndarray:
+        return self.net.logits(self._sequences(X, window_index))
 
-    def _sequences(self, X: np.ndarray) -> np.ndarray:
+    def _sequences(self, X: np.ndarray, window_index=None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.net.input_width:
             raise InputError(
@@ -221,7 +232,7 @@ class TrainedModel:
             raise InputError(f"non-finite feature value (NaN or inf) in row {bad[0]}")
         if self.scaler is not None:
             X = self.scaler.transform(X)
-        return build_sequences(X, self.net.profile.seq_len)
+        return build_sequences(X, self.net.profile.seq_len, window_index)
 
 
 def variant_flags(variant: str, config: ExperimentConfig):
@@ -254,9 +265,10 @@ def build_model(config: ExperimentConfig, variant: str, input_width: int):
     return net, forest_config
 
 
-def train_model(X, y, config: ExperimentConfig, variant: str = "carle") -> TrainedModel:
+def train_model(X, y, config: ExperimentConfig, variant: str = "carle", window_index=None) -> TrainedModel:
     """Two-phase fit: the network on (features, labels), then the forest on
-    the network's logit rows (skipped for the 'carl' variant)."""
+    the network's logit rows (skipped for the 'carl' variant). Sequences
+    follow ``window_index`` as in build_sequences."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     if len(X) != len(y):
@@ -265,7 +277,7 @@ def train_model(X, y, config: ExperimentConfig, variant: str = "carle") -> Train
 
     scaler = Scaler.fit(X, clip=config.model.z_clip) if config.model.standardize else None
     Xs = scaler.transform(X) if scaler is not None else X
-    seqs = build_sequences(Xs, net.profile.seq_len)
+    seqs = build_sequences(Xs, net.profile.seq_len, window_index)
     report = train(net, seqs, y, config.training, seed=derive_seed(config.seed, "train"))
 
     trained_forest = None
@@ -375,16 +387,20 @@ def align_features(source_X, target_X, config: ExperimentConfig) -> np.ndarray:
     return adapt_mod.pca_inverse(pca, adapt_mod.coral_apply(coral, z_target))
 
 
-def crossdomain_predictions(model: TrainedModel, source_X, target_X, config: ExperimentConfig):
-    """(aligned, unaligned) predictions of a source-trained model on target features."""
+def crossdomain_predictions(
+    model: TrainedModel, source_X, target_X, config: ExperimentConfig, source_index=None, target_index=None
+):
+    """(aligned, unaligned) predictions of a source-trained model on target
+    features; each side's sequences follow its window index."""
     if config.adapt.space == "logit":
         if model.forest is None:
             raise InputError("logit-space alignment needs a forest-bearing checkpoint")
-        logits = align_features(model.logits(source_X), model.logits(target_X), config)
+        source_logits = model.logits(source_X, source_index)
+        logits = align_features(source_logits, model.logits(target_X, target_index), config)
         aligned = model.forest.predict(logits)
     else:
-        aligned = model.predict(align_features(source_X, target_X, config))
-    return aligned, model.predict(target_X)
+        aligned = model.predict(align_features(source_X, target_X, config), target_index)
+    return aligned, model.predict(target_X, target_index)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +425,7 @@ def noise_reports(model: TrainedModel, signal: MultiChannelSignal, config: Exper
         sig = signal if kind is None else inject_noise(signal, kind, n, seed)
         X, _, idx = extract_matrix(sig, config)
         y_true = make_labels(window_count(sig, config), config.labels, idx)
-        y_pred = model.predict(X)
+        y_pred = model.predict(X, idx)
         report = MetricReport.compute(y_true, y_pred).to_dict()
         report["noise_params"] = {"kind": kind, **params}
         out[name] = report

@@ -192,6 +192,20 @@ class TestAblate:
         assert carle_meta["has_forest"]
         assert not carl_meta["has_forest"]
 
+    def test_every_csv_ends_its_lines_alike(self, workspace, tmp_path):
+        root, common = workspace
+        out_dir = tmp_path / "ablation3"
+        assert run_cli(
+            "ablate", "--features", str(root / "feats.csv"), "--labels", str(root / "labels.csv"),
+            "--out-dir", str(out_dir), *common, "--set", "training.epochs=1"
+        ) == 0
+
+        def endings(path):
+            return {line[len(line.rstrip(b"\r\n")):] for line in path.read_bytes().splitlines(True)[1:]}
+
+        assert endings(root / "feats.csv") == {b"\r\n"}
+        assert endings(root / "labels.csv") == endings(out_dir / "ablation.csv") == {b"\r\n"}
+
     def test_variant_parameter_counts(self, workspace, tmp_path):
         root, common = workspace
         out_dir = tmp_path / "ablation2"
@@ -302,7 +316,7 @@ class TestLabelsFollowWindowIndex:
         signal = read_signal_csv(sig, 1024.0)
         clean = pipeline.noise_reports(model, signal, model.config)["clean"]
         X, _, idx = pipeline.extract_matrix(signal, model.config)
-        assert clean["mae"] == MetricReport.compute(full[idx], model.predict(X)).mae
+        assert clean["mae"] == MetricReport.compute(full[idx], model.predict(X, idx)).mae
 
     def test_feature_csv_with_a_gap(self, workspace, tmp_path):
         root, common = workspace
@@ -319,6 +333,34 @@ class TestLabelsFollowWindowIndex:
         assert np.array_equal(got_idx, idx[kept])
         want = pipeline.labels_for(pipeline.load_model(root / "run" / "checkpoint.npz").config, 48)
         assert np.array_equal(y_true, want[idx[kept]])
+
+
+class TestSequencesFollowWindowIndex:
+    def test_predict_on_a_signal_with_a_zeroed_window(self, tmp_path):
+        # samples 1024-1791 zeroed: extraction skips window 5 of 20; carl's
+        # scalar head shows a changed sequence where a forest leaf may not
+        flags = ["--seed", "7", "--set", "synth.duration_s=5", "--set", "training.epochs=3"]
+        assert run_cli("synth", "--out", str(tmp_path / "sig.csv"), *flags) == 0
+        sig = _zeroed(tmp_path / "sig.csv", tmp_path / "zeroed.csv", 1024, 1792)
+        assert run_cli(
+            "train", "--signal", str(sig), "--out-dir", str(tmp_path / "run"), "--variant", "carl", *flags
+        ) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.npz"
+        out = tmp_path / "pred.csv"
+        assert run_cli("predict", "--checkpoint", str(checkpoint), "--signal", str(sig), "--out", str(out)) == 0
+
+        model = pipeline.load_model(checkpoint)
+        X, _, idx = pipeline.extract_matrix(read_signal_csv(sig, 1024.0), model.config)
+        assert 5 not in idx
+        seq_len = model.net.profile.seq_len
+        # per row, the row of the latest kept window at or before each of
+        # the seq_len windows ending at its own
+        rows = [[max([r for r, k in enumerate(idx) if k <= w], default=0) for w in range(i - seq_len + 1, i + 1)]
+                for i in idx]
+        assert rows[list(idx).index(7)] == [4, 4, 5, 6]
+        want = np.clip(model.net.infer(model.scaler.transform(X)[rows])[1], 0.0, 1.0)
+        got = np.array([float(line.split(",")[2]) for line in out.read_text().splitlines()[2:]])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestErrors:
@@ -342,9 +384,7 @@ class TestErrors:
         assert code == 2
 
     def test_console_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "carle.cli", "--help"], capture_output=True, text=True
-        )
+        proc = _run_carle(["--help"])
         assert proc.returncode == 0
         for cmd in ("synth", "extract", "train", "predict", "ablate", "noise", "crossdomain", "snr-sweep"):
             assert cmd in proc.stdout

@@ -198,7 +198,7 @@ class TestParserDivergence:
 
     def test_trailing_comma_rejected_with_each_readers_message(self, tmp_path):
         sig = self._write(tmp_path, "sig.csv", "1.0,2.0\n3.0,4.0,\n")
-        with pytest.raises(InputError, match=r"sig.csv:2: non-numeric value"):
+        with pytest.raises(InputError, match=r"sig.csv:2: column count differs from the first row"):
             dataio.read_signal_csv(sig, 100.0)
         feats = self._write(tmp_path, "f.csv", "window_index,a\n0,0.5,\n")
         with pytest.raises(InputError, match=r"f.csv:2: 3 values, header has 2"):
@@ -233,14 +233,19 @@ class TestParserDivergence:
         with pytest.raises(InputError, match=r"l.csv:3: labels must be numeric"):
             dataio.read_labels_csv(path)
 
+    def test_labels_name_the_first_faulty_row(self, tmp_path):
+        path = self._write(tmp_path, "l.csv", "rul\n0.5\n0.1,0.2\nabc\n")
+        with pytest.raises(InputError, match=r"l.csv:3: labels must be numeric"):
+            dataio.read_labels_csv(path)
+
     def test_window_index_out_of_int64_range_rejected_at_its_line(self, tmp_path):
         path = self._write(tmp_path, "f.csv", "window_index,a\n0,0.5\n99999999999999999999,0.5\n")
         with pytest.raises(InputError, match=r"f.csv:3: non-numeric value"):
             dataio.read_features_csv(path)
 
-    def test_signal_names_a_bad_value_before_an_earlier_ragged_row(self, tmp_path):
+    def test_signal_names_the_first_faulty_row(self, tmp_path):
         path = self._write(tmp_path, "sig.csv", "1.0,2.0\n3.0\nnan,1.0\n5.0,abc\n")
-        with pytest.raises(InputError, match=r"sig.csv:4: non-numeric value"):
+        with pytest.raises(InputError, match=r"sig.csv:2: column count differs from the first row"):
             dataio.read_signal_csv(path, 100.0)
 
     def test_features_name_the_first_faulty_row(self, tmp_path):
@@ -320,11 +325,18 @@ class TestQuoting:
         with pytest.raises(InputError, match=r"sig.csv:2: malformed row \(',' expected after '\"'\)"):
             dataio.read_signal_csv(path, 100.0)
 
-    def test_quote_fault_ordered_as_a_bad_value(self, tmp_path):
-        # the signal reader names a bad value before a ragged row, wherever it is
-        path = self._write(tmp_path, "sig.csv", '1.0,2.0\n3.0\n"5.0" ,1.0\n')
-        with pytest.raises(InputError, match=r"sig.csv:3: malformed row"):
+    def test_quote_fault_named_first_in_its_row(self, tmp_path):
+        # a quoting fault comes before the row's wrong width, but not before
+        # an earlier faulty row
+        path = self._write(tmp_path, "sig.csv", '1.0,2.0\n"3.0\n",4.0,5.0\n6.0\n')
+        with pytest.raises(InputError, match=r"sig.csv:2: quoted field spans lines"):
             dataio.read_signal_csv(path, 100.0)
+        path = self._write(tmp_path, "sig.csv", '1.0,2.0\n3.0\n"5.0" ,1.0\n')
+        with pytest.raises(InputError, match=r"sig.csv:2: column count differs from the first row"):
+            dataio.read_signal_csv(path, 100.0)
+        feats = self._write(tmp_path, "f.csv", 'window_index,a\n0,"0.5\n",0.7\n')
+        with pytest.raises(InputError, match=r"f.csv:2: quoted field spans lines"):
+            dataio.read_features_csv(feats)
         feats = self._write(tmp_path, "f.csv", 'window_index,a\n0,0.5,0.7\n1,"0.5" \n')
         with pytest.raises(InputError, match=r"f.csv:2: 3 values, header has 2"):
             dataio.read_features_csv(feats)

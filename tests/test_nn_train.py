@@ -1,8 +1,11 @@
+import types
+
 import numpy as np
 import pytest
 
 from carle.errors import InputError, NumericalError, ParameterError
-from carle.nn import CarleNet, RmsProp, TrainConfig, train
+from carle.nn import CarleNet, RmsProp, TrainConfig
+from carle.nn.train import train
 
 
 def _toy_data(rng, n=30, width=6, seq_len=3):
@@ -228,3 +231,9 @@ class TestTrain:
         net = CarleNet(6, "gradcheck", seed=9)
         with pytest.raises(InputError):
             train(net, rng.normal(size=(5, 3, 6)), np.zeros(4), TrainConfig())
+
+
+def test_nn_train_names_the_module():
+    import carle.nn.train as m
+
+    assert isinstance(m, types.ModuleType) and m.RmsProp is RmsProp and m.train is train

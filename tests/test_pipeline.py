@@ -26,7 +26,7 @@ from carle.pipeline import (
     train_model,
     variant_flags,
 )
-from carle.signal import SynthConfig, gaussian_filter, snr_sweep, synth_run_to_failure
+from carle.signal import MultiChannelSignal, SynthConfig, gaussian_filter, snr_sweep, synth_run_to_failure
 
 
 def tiny_config(**overrides):
@@ -179,6 +179,36 @@ class TestSequences:
     def test_one_sequence_per_row(self, rng):
         X = rng.normal(size=(17, 5))
         assert len(build_sequences(X, 4)) == 17
+
+    def test_rows_follow_the_window_index(self, rng):
+        X = rng.normal(size=(5, 2))
+        assert np.array_equal(build_sequences(X, 3), build_sequences(X, 3, np.arange(5)))
+        seqs = build_sequences(X, 3, np.array([2, 3, 5, 6, 9], dtype=np.uint8))
+        # windows 7 and 8 were skipped: both take window 6's row
+        assert np.array_equal(seqs[4], X[[3, 3, 4]])
+        assert np.array_equal(seqs[2], X[[1, 1, 2]])
+        assert np.array_equal(seqs[0], X[[0, 0, 0]])
+
+    @pytest.mark.parametrize(
+        "index",
+        [[0, 1, 2], [0, 1, 2, 2], [0, 2, 1, 3], [[0, 1, 2, 3]], [0.0, 1.0, 2.0, 3.0], [True] * 4,
+         np.array([3, 2, 1, 0], dtype=np.uint64)],
+    )
+    def test_window_index_must_be_increasing_integers_one_per_row(self, rng, index):
+        with pytest.raises(InputError, match="window_index must be 4 strictly increasing integers"):
+            build_sequences(rng.normal(size=(4, 2)), 3, index)
+
+    def test_a_skipped_window_takes_the_row_before_it(self):
+        # samples 1024-1791 zeroed: extraction skips window 5 of 20
+        config = ExperimentConfig(seed=7).with_overrides({"synth.duration_s": 5})
+        signal, _ = synth_signal(config)
+        channels = signal.channels.copy()
+        channels[:, 1024:1792] = 0.0
+        X, _, idx = extract_matrix(MultiChannelSignal(channels, signal.sample_rate_hz), config)
+        assert list(idx[:7]) == [0, 1, 2, 3, 4, 6, 7]
+        seqs = build_sequences(X, 4, idx)
+        assert np.array_equal(seqs[6], X[[4, 4, 5, 6]])  # windows 4, 4, 6 and 7
+        assert np.array_equal(seqs[5], X[[3, 4, 4, 5]])  # windows 3, 4, 4 and 6
 
 
 class TestScaler:

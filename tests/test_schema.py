@@ -14,7 +14,8 @@ from carle.errors import ParameterError
 from carle.features import ExtractionConfig, extract_features
 from carle.forest import ForestConfig
 from carle.labels import LabelConfig, make_labels
-from carle.nn import CarleNet, TrainConfig, train
+from carle.nn import CarleNet, TrainConfig
+from carle.nn.train import train
 from carle.pipeline import AdaptSection, ExperimentConfig, ModelSection
 from carle.signal import MultiChannelSignal, NoiseConfig, SynthConfig, inject_noise, synth_run_to_failure
 
