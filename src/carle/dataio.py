@@ -7,13 +7,17 @@ other ``#`` is an error. Values may be padded or quoted (``"1.0"``) and are
 read by Python's ``float`` (``int`` for ``window_index``). A quote must close
 on the line it opens, right before a comma or the line end. A reader names
 the first faulty row and, within it, the first of: a quoting fault, a wrong
-width, a bad value, a non-finite value.
+width, a bad value, a non-finite value. A reader holds the file's bytes
+once: numpy's C parser reads a body of plain numbers straight from them,
+and any other body goes row by row through the grammar, ``_parse_rows``.
 """
 
 import contextlib
 import csv
+import io
 import itertools
 import json
+import re
 
 import numpy as np
 
@@ -25,58 +29,91 @@ from .signal import MultiChannelSignal
 # alike: numpy also strips \x1c-\x1f and reads some non-ASCII digits as int.
 _PLAIN = b"0123456789.eE+-infatyINFATY, \t\r\n"
 
-
-def _data_mask(lines) -> list[bool]:
-    """Per line, whether it is a data line: neither blank nor a comment.
-    One list, not a call per line, which would slow a long signal's read."""
-    return [line[0] != "#" and not line.isspace() for line in lines]
+# One line and its end, the reader's rule: \r\n, \r or \n ends a line.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-def _data_lines(path) -> list[str]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        # only a line that is not UTF-8 changes when its bad bytes are replaced
+def _data_lines(data):
+    """(line number, byte offset, text) of each line of ``data`` that is
+    neither blank nor a comment."""
+    for number, match in enumerate(_LINE.finditer(data), 1):
+        line = match.group().decode()
+        if line[0] != "#" and not line.isspace():
+            yield number, match.start(), line
+
+
+class _Text:
+    """A CSV file's bytes and its data lines (neither blank nor a comment),
+    split and decoded only as far as a reader asks."""
+
+    def __init__(self, path):
+        self.path = path
         with open(path, "rb") as fh:
-            line = next(k for k, raw in enumerate(fh, 1) if raw.decode(errors="replace").encode() != raw)
-        raise InputError(f"{path}:{line}: not UTF-8 text") from None
-    return list(itertools.compress(lines, _data_mask(lines)))
+            self.data = fh.read()
+        if not self.data.isascii():
+            try:
+                self.data.decode()
+            except UnicodeDecodeError as exc:
+                line = len((self.data[: exc.start] + b".").splitlines())
+                raise InputError(f"{path}:{line}: not UTF-8 text") from None
+        self._lines = []  # (line number, byte offset, text) of the data lines split so far
+        self._rest = _data_lines(self.data)  # holds no reference to self, so no cycle keeps the bytes
+
+    def get(self, row):
+        """(line number, byte offset, text) of data line ``row``, or None."""
+        while len(self._lines) <= row:
+            line = next(self._rest, None)
+            if line is None:
+                return None
+            self._lines.append(line)
+        return self._lines[row]
+
+    def where(self, row) -> str:
+        """``path:line`` of data line ``row``, for error messages."""
+        return f"{self.path}:{self.get(row)[0]}"
+
+    def lines(self, start=0):
+        """The texts of the data lines from ``start`` on."""
+        for row in itertools.count(start):
+            line = self.get(row)
+            if line is None:
+                return
+            yield line[2]
+
+    def plain_from(self, offset) -> bool:
+        """Whether the bytes from ``offset`` on are all ``_PLAIN``, found
+        without copying them."""
+        return self.data.translate(None, _PLAIN) == self.data[:offset].translate(None, _PLAIN)
 
 
-def _line(path, row: int) -> str:
-    """``path:line`` of data line ``row`` (0-based), for error messages."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        numbers = itertools.compress(itertools.count(1), _data_mask(fh))
-        return f"{path}:{next(itertools.islice(numbers, row, None))}"
-
-
-def _parse(path, lines, start, width, first, faults):
-    """Data rows ``lines[start:]`` of ``width`` columns as (first column of
-    type ``first`` or None, float64 matrix of the rest). numpy's C parser
-    reads a clean file; a file it refuses, or with a non-finite value, goes
-    to ``_parse_rows``."""
+def _parse(text, start, width, first, faults):
+    """The table of data rows ``start`` on, ``width`` columns each: a field
+    ``first`` (of type ``first``) when given, and a float64 field ``values``
+    of the rest. numpy's C parser reads a plain body from the file's bytes;
+    a body it refuses (one with a ``#`` or whitespace-only line, a lone-CR
+    line end or a quote, say), or with a non-finite value, goes to
+    ``_parse_rows``."""
     fields = [("first", first)] if first else []
     dtype = np.dtype(fields + [("values", np.float64, (width - len(fields),))])
-    body, table = lines[start:], None
-    text = "".join(body)
-    if body and text.isascii() and not text.encode().translate(None, _PLAIN):
+    table, line = None, text.get(start)
+    if line and text.plain_from(line[1]):
+        body = io.BytesIO(text.data)  # shares the bytes, copies none
+        body.seek(line[1])
         with contextlib.suppress(ValueError):
             table = np.loadtxt(body, dtype, delimiter=",", comments=None, ndmin=1)
     if table is None or not np.isfinite(table["values"]).all():
-        table = np.array(_parse_rows(path, lines, start, width, first, faults), dtype)
-    first_column = np.ascontiguousarray(table["first"]) if first else None
-    return first_column, np.ascontiguousarray(table["values"])
+        table = np.array(_parse_rows(text, start, width, first, faults), dtype)
+    return table
 
 
-def _parse_rows(path, lines, start, width, first, faults):
+def _parse_rows(text, start, width, first, faults):
     """The grammar: csv tokens read by ``int`` or ``float``. Accepts what
     numpy refuses (``1_0``, ``"1.0"``) or raises at the first faulty row,
     naming the first of its faults in this order: quoting, wrong width
     (``faults[0]``, may use ``{n}`` and ``{width}``), bad value, non-finite."""
     bad_width, bad_value, non_finite = faults
     rows = []
-    for i, row, fault in _records(lines, start):
+    for i, row, fault in _records(text, start):
         if not fault and len(row) != width:
             fault = bad_width.format(n=len(row), width=width)
         if not fault:
@@ -87,16 +124,16 @@ def _parse_rows(path, lines, start, width, first, faults):
             except (ValueError, OverflowError):
                 fault = bad_value
         if fault:
-            raise InputError(f"{_line(path, i)}: {fault}")
+            raise InputError(f"{text.where(i)}: {fault}")
         rows.append((*lead, values))
     return rows
 
 
-def _records(lines, start=0):
-    """Per csv row of ``lines[start:]``: the index in ``lines`` of the line it
-    opens on, its tokens, and its quoting fault or "". A quote must close
-    on the line it opens, right before a comma or the line end."""
-    reader = csv.reader(itertools.islice(lines, start, None), strict=True)
+def _records(text, start=0):
+    """Per csv row of the data lines from ``start`` on: the index of the data
+    line it opens on, its tokens, and its quoting fault or "". A quote must
+    close on the line it opens, right before a comma or the line end."""
+    reader = csv.reader(text.lines(start), strict=True)
     while True:
         i = start + reader.line_num
         try:
@@ -110,11 +147,11 @@ def _records(lines, start=0):
         yield i, row, "quoted field spans lines" if spans else ""
 
 
-def _row(path, records, default=None):
-    """The tokens of the next of ``records``, or ``default`` when none is left."""
-    i, row, quoting = next(records, (0, default, ""))
+def _row(text, records):
+    """The tokens of the next of ``records``, or None when none is left."""
+    i, row, quoting = next(records, (0, None, ""))
     if quoting:
-        raise InputError(f"{_line(path, i)}: {quoting}")
+        raise InputError(f"{text.where(i)}: {quoting}")
     return row
 
 
@@ -123,19 +160,22 @@ def read_signal_csv(path, sample_rate_hz: float) -> MultiChannelSignal:
     numeric columns, one row per sample. A first row is a header only when
     none of its tokens is a number. A leading ``t`` column is ignored; the
     sample rate always comes from configuration."""
-    lines = _data_lines(path)
-    if not lines:
+    text = _Text(path)
+    records = _records(text)
+    header = _row(text, records)
+    if header is None:
         raise InputError(f"{path}: empty signal file")
-    records = _records(lines)
-    header = _row(path, records)
     numeric = [_is_number(tok) for tok in header]
     if any(numeric) and not all(numeric):
-        raise InputError(f"{_line(path, 0)}: first row mixes numbers and names")
+        raise InputError(f"{text.where(0)}: first row mixes numbers and names")
     start = 0 if all(numeric) else 1
-    width = len(header if start == 0 else _row(path, records, header))
+    row = header if start == 0 else _row(text, records)
+    width = len(row or header)
     has_time = start > 0 and header[0].strip().lower() in {"t", "time", "time_s"}
+    if row is None and width > has_time:
+        raise InputError(f"{path}: no sample rows after the header")
     faults = ("column count differs from the first row", "non-numeric value", "non-finite sample")
-    _, samples = _parse(path, lines, start, width, float if has_time else None, faults)
+    samples = _parse(text, start, width, float if has_time else None, faults)["values"]
     if samples.size == 0:
         raise InputError(f"{path}: expected one column per channel")
     return MultiChannelSignal(samples.T, sample_rate_hz)
@@ -151,11 +191,12 @@ def _is_number(tok: str) -> bool:
 
 def _write_csv(path, header, rows, config_hash: str):
     """Write ``header`` and then ``rows`` with the csv module, after a
-    ``# config_hash=`` comment line when a hash is given."""
+    ``# config_hash=`` comment line when a hash is given; every line ends in
+    the writer's terminator, CR LF."""
     with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh)
+        if config_hash:
+            fh.write(f"# config_hash={config_hash}{writer.dialect.lineterminator}")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -182,21 +223,22 @@ def read_features_csv(path):
     """Returns (matrix, names, window_index). Window indices must start at 0
     or above and strictly increase down the file; gaps (skipped degenerate
     windows) are allowed."""
-    lines = _data_lines(path)
-    header = _row(path, _records(lines), [])
-    if len(lines) < 2:
+    text = _Text(path)
+    header = _row(text, _records(text)) or []
+    if text.get(1) is None:
         raise InputError(f"{path}: need a header row and at least one feature row")
     if header[0] != "window_index":
         raise InputError(f"{path}: first column must be window_index, got {header[0]!r}")
     faults = ("{n} values, header has {width}", "non-numeric value", "non-finite feature value")
-    idx, matrix = _parse(path, lines, 1, len(header), int, faults)
+    table = _parse(text, 1, len(header), int, faults)
+    idx, matrix = np.ascontiguousarray(table["first"]), np.ascontiguousarray(table["values"])
     if idx[0] < 0:
-        raise InputError(f"{_line(path, 1)}: window_index {idx[0]} is negative")
+        raise InputError(f"{text.where(1)}: window_index {idx[0]} is negative")
     out_of_order = np.flatnonzero(idx[1:] <= idx[:-1])
     if out_of_order.size:
         row = int(out_of_order[0]) + 1
         raise InputError(
-            f"{_line(path, row + 1)}: window_index {idx[row]} does not follow {idx[row - 1]}; "
+            f"{text.where(row + 1)}: window_index {idx[row]} does not follow {idx[row - 1]}; "
             "indices must strictly increase"
         )
     return matrix, tuple(header[1:]), idx
@@ -209,12 +251,12 @@ def write_labels_csv(path, values, config_hash: str = ""):
 
 def read_labels_csv(path) -> np.ndarray:
     """One label per data row, after an optional ``rul`` header row."""
-    lines = _data_lines(path)
-    if not lines:
+    text = _Text(path)
+    if text.get(0) is None:
         raise InputError(f"{path}: empty label file")
-    start = int(lines[0].strip() == "rul")
+    start = int(text.get(0)[2].strip() == "rul")
     bad = "labels must be numeric"
-    return _parse(path, lines, start, 1, None, (bad, bad, "labels must be finite"))[1].ravel()
+    return _parse(text, start, 1, None, (bad, bad, "labels must be finite"))["values"].ravel()
 
 
 def write_predictions_csv(path, window_index, y_true, y_pred, config_hash: str = ""):

@@ -201,7 +201,7 @@ class TestAblate:
         ) == 0
 
         def endings(path):
-            return {line[len(line.rstrip(b"\r\n")):] for line in path.read_bytes().splitlines(True)[1:]}
+            return {line[len(line.rstrip(b"\r\n")):] for line in path.read_bytes().splitlines(True)}
 
         assert endings(root / "feats.csv") == {b"\r\n"}
         assert endings(root / "labels.csv") == endings(out_dir / "ablation.csv") == {b"\r\n"}
@@ -662,6 +662,24 @@ def _undecodable_features(root, tmp_path):
 _undecodable_features.names = "undecodable_feats.csv:5"
 
 
+def _undecodable_cr_signal(root, tmp_path):
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b"t,ch1\r1,2\r\xff,3\r")  # lone-CR line ends
+    return ["extract", "--signal", str(path)]
+
+
+_undecodable_cr_signal.names = "cr.csv:3: not UTF-8 text"
+
+
+def _header_only_signal(root, tmp_path):
+    path = tmp_path / "header_only.csv"
+    path.write_text("t,ch1,ch2\n")
+    return ["extract", "--signal", str(path)]
+
+
+_header_only_signal.names = "header_only.csv: no sample rows after the header"
+
+
 def _undecodable_config(root, tmp_path):
     path = tmp_path / "undecodable.json"
     path.write_bytes(b'{"seed": 3\xff}')
@@ -865,6 +883,7 @@ def _run_carle(args):
         _noise_set("noise.salt_pepper_amplitude=1e308"),
         _noise_set("noise.gaussian_std=1e308"),
         _undecodable_features, _undecodable_config, _directory_checkpoint, _out_dir_is_a_file,
+        _undecodable_cr_signal, _header_only_signal,
         _zip_directory_edit(8, 0x20, "zip-patched-data"),
         _zip_directory_edit(8, 0x01, "zip-encrypted"),
         _zip_directory_edit(6, 0xff, "zip-version-255"),

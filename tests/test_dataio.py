@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,10 +225,16 @@ class TestParserDivergence:
         with pytest.raises(InputError, match=r"sig.csv:4: column count differs"):
             dataio.read_signal_csv(path, 100.0)
 
-    @pytest.mark.parametrize("text", ["t\n0.0\n0.1\n", "t,ch1\n", "time\n"])
+    @pytest.mark.parametrize("text", ["t\n0.0\n0.1\n", "time\n"])
     def test_no_channel_column_rejected(self, tmp_path, text):
         path = self._write(tmp_path, "sig.csv", text)
         with pytest.raises(InputError, match="expected one column per channel"):
+            dataio.read_signal_csv(path, 100.0)
+
+    @pytest.mark.parametrize("text", ["t,ch1\n", "t,ch1,ch2\n", "ch1,ch2\r\n# h\r\n\r\n"])
+    def test_header_only_rejected(self, tmp_path, text):
+        path = self._write(tmp_path, "sig.csv", text)
+        with pytest.raises(InputError, match=r"sig.csv: no sample rows after the header$"):
             dataio.read_signal_csv(path, 100.0)
 
     def test_two_labels_on_one_line_rejected_at_its_line(self, tmp_path):
@@ -342,6 +351,25 @@ class TestQuoting:
             dataio.read_features_csv(feats)
 
 
+def test_signal_read_peaks_below_two_and_a_half_files(tmp_path, rng):
+    """Reading a 30,720-row two-channel signal holds the file's bytes, the
+    parsed table and one transposed copy, not a list of lines and its joins,
+    and once it returns, only the signal: no reference cycle keeps the bytes
+    until the next garbage collection."""
+    path = tmp_path / "sig.csv"
+    dataio.write_signal_csv(path, MultiChannelSignal(rng.normal(size=(2, 30_720)), 1024.0), "h")
+    gc.disable()
+    tracemalloc.start()
+    try:
+        sig = dataio.read_signal_csv(path, 1024.0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak <= 2.5 * path.stat().st_size
+    assert held <= sig.channels.nbytes + 64 * 1024
+
+
 def test_predictions_csv(tmp_path):
     path = tmp_path / "p.csv"
     dataio.write_predictions_csv(path, [0, 1], [1.0, 0.5], [0.9, 0.6], "h")
@@ -349,3 +377,93 @@ def test_predictions_csv(tmp_path):
     assert lines[0] == "# config_hash=h"
     assert lines[1] == "window_index,y_true,y_pred"
     assert lines[2].split(",") == ["0", "1.0", "0.9"]
+
+
+# Tokens the fast parser and the grammar may read differently, or refuse.
+_ODD_TOKENS = [
+    " 3 ", "\t6", '"1.0"', '" 2"', '"1"2', "1_0", "\uff11", "\u0663", "inf", "-nan", "Infinity",
+    "1e400", "abc", "", "1 2", '"3', "\u00e9", "0x10", "1\x1c", "#4",
+]
+# Lines the readers skip: comments, empty and whitespace-only lines.
+_SKIPPED = ["# config_hash=abc", "#1,2", "", "  ", "\t", " \x0c", "\u3000"]
+_HEADERS = {
+    "signal": ["t,ch1,ch2", "ch1,ch2", "time,a", None],
+    "features": ["window_index,a,b", "window_index,a"],
+    "labels": ["rul", None],
+}
+# Headers of a bad or a header-only file, for messy files alone.
+_ODD_HEADERS = {"signal": ["t", "time"], "features": ["idx,a", "window_index"], "labels": ["label"]}
+
+
+def _random_csv(rng, kind) -> bytes:
+    """A seeded CSV for ``kind``'s reader: half of them clean numbers with LF
+    or CRLF ends, the rest with skipped lines in head and body, lone-CR or
+    mixed ends, odd tokens, ragged rows, a BOM or a byte that is not UTF-8."""
+    messy = rng.random() < 0.5
+    ends = ["\n", "\r\n", "\r"] if messy else ["\n", "\r\n"]
+    end = ends[rng.integers(len(ends))]
+    headers = _HEADERS[kind] + (_ODD_HEADERS[kind] if messy else [])
+    header = headers[rng.integers(len(headers))]
+    width = len(header.split(",")) if header else (1 if kind == "labels" else int(rng.integers(2, 4)))
+    lines = [_SKIPPED[rng.integers(len(_SKIPPED))] for _ in range(rng.integers(0, 3))]
+    lines += [header] if header else []
+    index = int(rng.integers(-1 if messy else 0, 3))
+    for _ in range(rng.integers(0 if messy else 1, 6)):
+        if messy and rng.random() < 0.2:
+            lines.append(_SKIPPED[rng.integers(len(_SKIPPED))])
+        row = [str(index)] if kind == "features" else []
+        index += int(rng.integers(0 if messy else 1, 3))
+        row += [repr(float(rng.normal() * 10.0 ** rng.integers(-3, 4))) for _ in range(width - len(row))]
+        if messy and rng.random() < 0.1:
+            row = row[:-1] if rng.random() < 0.5 else row + ["1.5"]
+        if messy and row and rng.random() < 0.3:
+            row[rng.integers(len(row))] = _ODD_TOKENS[rng.integers(len(_ODD_TOKENS))]
+        lines.append(",".join(row))
+    mixed = messy and rng.random() < 0.2
+    text = "".join(line + (ends[rng.integers(len(ends))] if mixed else end) for line in lines)
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    data = text.encode()
+    if messy and rng.random() < 0.1:
+        data = b"\xef\xbb\xbf" + data
+    if messy and data and rng.random() < 0.1:
+        at = int(rng.integers(len(data) + 1))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+_READERS = {
+    "signal": lambda path: [dataio.read_signal_csv(path, 100.0).channels],
+    "features": lambda path: list(dataio.read_features_csv(path)),
+    "labels": lambda path: [dataio.read_labels_csv(path)],
+}
+
+
+def _outcome(kind, path):
+    """What ``kind``'s reader gives for ``path``: its arrays' bits, or its message."""
+    try:
+        out = _READERS[kind](path)
+    except InputError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in out]
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_readers_match_the_grammar(tmp_path, monkeypatch, kind):
+    """Each reader returns, or refuses with, what ``_parse_rows`` gives over
+    the data lines, on 300 seeded files."""
+    rng = np.random.default_rng(list(_READERS).index(kind))
+    paths = []
+    for n in range(300):
+        paths.append(tmp_path / f"{n}.csv")
+        paths[-1].write_bytes(_random_csv(rng, kind))
+    grammar, calls = dataio._parse_rows, []
+    monkeypatch.setattr(dataio, "_parse_rows", lambda *args: calls.append(args) or grammar(*args))
+    fast, parsed_by_numpy = [], 0
+    for path in paths:
+        before = len(calls)
+        fast.append(_outcome(kind, path))
+        parsed_by_numpy += isinstance(fast[-1], list) and len(calls) == before
+    monkeypatch.setattr(dataio._Text, "plain_from", lambda text, offset: False)
+    assert [_outcome(kind, path) for path in paths] == fast
+    assert parsed_by_numpy > 100
