@@ -8,6 +8,7 @@ header and the arrays without interpreting the model.
 """
 
 import json
+import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import InputError
 
 FORMAT_MAGIC = "carle-checkpoint"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -111,8 +112,10 @@ def load_checkpoint(path) -> CheckpointBundle:
                     sections.setdefault(section, {})[name] = data[member]
     except InputError:
         raise
-    # zipfile: NotImplementedError on a member it cannot unpack, RuntimeError on an encrypted one
+    # zipfile: NotImplementedError on a member it cannot unpack, RuntimeError on an encrypted one;
+    # a member's .npy header: TokenError on an unclosed bracket or string, TypeError on an
+    # unhashable dict key
     except (ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error, NotImplementedError,
-            RuntimeError) as exc:
+            RuntimeError, tokenize.TokenError, TypeError) as exc:
         raise InputError(f"{path}: unreadable checkpoint ({exc})") from exc
     return CheckpointBundle(meta, sections)

@@ -106,6 +106,16 @@ def _labels(path, config, window_index, n_windows=None):
     return y
 
 
+def _check_unit(path, y, config):
+    """Refuse labels read from ``path`` outside [0, 1] while forest.clamp_unit
+    holds every prediction to that range."""
+    if path and config.forest.clamp_unit and not ((y >= 0.0) & (y <= 1.0)).all():
+        raise InputError(
+            f"{path}: labels span [{y.min():g}, {y.max():g}], outside [0, 1] "
+            "while forest.clamp_unit is on"
+        )
+
+
 @contextlib.contextmanager
 def _out_dir(path):
     """``path`` as a directory, made with any missing parents; the directories
@@ -153,6 +163,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     config = resolve_config(args)
     X, y, _, idx = _load_features(args, config)
+    _check_unit(args.labels, y, config)
     with _out_dir(args.out_dir) as out_dir:
         model = pipeline.train_model(X, y, config, args.variant, idx)
         y_pred = model.predict(X, idx)
@@ -194,6 +205,8 @@ def cmd_ablate(args) -> int:
     if args.eval_features:
         eval_X, _, eval_idx = dataio.read_features_csv(args.eval_features)
         eval_y = _labels(args.eval_labels, config, eval_idx)
+    _check_unit(args.labels, y, config)
+    _check_unit(args.eval_labels, eval_y, config)
 
     rows = []
     with _out_dir(args.out_dir) as out_dir:

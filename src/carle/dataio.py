@@ -157,9 +157,10 @@ def _row(text, records):
 
 def read_signal_csv(path, sample_rate_hz: float) -> MultiChannelSignal:
     """Load a raw-signal CSV: header row ``t,ch1,ch2,...`` or headerless
-    numeric columns, one row per sample. A first row is a header only when
-    none of its tokens is a number. A leading ``t`` column is ignored; the
-    sample rate always comes from configuration."""
+    numeric columns, one row per sample, each row as wide as the first (the
+    header, if there is one). A first row is a header only when none of its
+    tokens is a number. A leading ``t`` column is ignored; the sample rate
+    always comes from configuration."""
     text = _Text(path)
     records = _records(text)
     header = _row(text, records)
@@ -169,12 +170,12 @@ def read_signal_csv(path, sample_rate_hz: float) -> MultiChannelSignal:
     if any(numeric) and not all(numeric):
         raise InputError(f"{text.where(0)}: first row mixes numbers and names")
     start = 0 if all(numeric) else 1
-    row = header if start == 0 else _row(text, records)
-    width = len(row or header)
+    width = len(header)
     has_time = start > 0 and header[0].strip().lower() in {"t", "time", "time_s"}
-    if row is None and width > has_time:
+    if start and _row(text, records) is None and width > has_time:
         raise InputError(f"{path}: no sample rows after the header")
-    faults = ("column count differs from the first row", "non-numeric value", "non-finite sample")
+    bad_width = "{n} values, header has {width}" if start else "column count differs from the first row"
+    faults = (bad_width, "non-numeric value", "non-finite sample")
     samples = _parse(text, start, width, float if has_time else None, faults)["values"]
     if samples.size == 0:
         raise InputError(f"{path}: expected one column per channel")

@@ -150,7 +150,6 @@ class CarleNet:
         profile: ModelProfile | str = "toy",
         use_mha: bool = True,
         use_residual: bool = True,
-        cross_block_residual: bool = False,
         seed: int = 0,
     ):
         if isinstance(profile, str):
@@ -186,9 +185,6 @@ class CarleNet:
         self.lstm_proj = None
         if use_residual and ch != d:
             self.lstm_proj = self._add(Dense(ch, d, rng, "res_lstm.proj", bias=False))
-        self.cross_proj = None
-        if cross_block_residual:
-            self.cross_proj = self._add(Dense(input_width, d, rng, "cross_block.proj", bias=False))
         self.lstm_mha = None
         if use_mha:
             self.lstm_mha = self._add(
@@ -281,8 +277,7 @@ class CarleNet:
         and the scalar head output per sample. keep=False, for a forward no
         backward follows, leaves every layer cache as it was.
         """
-        x = self._checked(batch)
-        h = x
+        h = self._checked(batch)
         for unit in self.cnn_units:
             h = unit.forward(h, keep)
         if self.cnn_mha is not None:
@@ -293,8 +288,6 @@ class CarleNet:
             g = lstm.forward(g, keep)
         if self.use_residual:
             g = g + (self.lstm_proj.forward(h, keep) if self.lstm_proj is not None else h)
-        if self.cross_proj is not None:
-            g = g + self.cross_proj.forward(x, keep)
         if self.lstm_mha is not None:
             g = self.lstm_mha.forward(g, keep)
 
@@ -317,9 +310,6 @@ class CarleNet:
 
         if self.lstm_mha is not None:
             dg = self.lstm_mha.backward(dg)
-        dx_extra = 0.0
-        if self.cross_proj is not None:
-            dx_extra = self.cross_proj.backward(dg)
         dh_skip = 0.0
         if self.use_residual:
             dh_skip = self.lstm_proj.backward(dg) if self.lstm_proj is not None else dg
@@ -332,7 +322,7 @@ class CarleNet:
             dh = self.cnn_mha.backward(dh)
         for unit in reversed(self.cnn_units):
             dh = unit.backward(dh)
-        return dh + dx_extra
+        return dh
 
     def reg_loss(self) -> float:
         return sum(layer.reg_loss() for layer in self.layers if isinstance(layer, Conv1d))

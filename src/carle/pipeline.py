@@ -51,11 +51,7 @@ def derive_seed(root_seed: int, stream: str) -> int:
 @dataclass
 class ModelSection:
     profile: str = "toy"
-    use_mha: bool = True
-    use_residual: bool = True
-    cross_block_residual: bool = False
     seq_len: int | None = None  # None -> profile default
-    standardize: bool = True
     z_clip: float = 6.0
 
     BOUNDS = (
@@ -205,7 +201,7 @@ def window_count(signal: MultiChannelSignal, config: ExperimentConfig) -> int:
 class TrainedModel:
     net: CarleNet
     forest: forest_mod.Forest | None
-    scaler: Scaler | None
+    scaler: Scaler
     report: TrainReport
     variant: str
     config: ExperimentConfig | None = None  # the config it was trained from
@@ -230,31 +226,28 @@ class TrainedModel:
         bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
         if bad.size:
             raise InputError(f"non-finite feature value (NaN or inf) in row {bad[0]}")
-        if self.scaler is not None:
-            X = self.scaler.transform(X)
-        return build_sequences(X, self.net.profile.seq_len, window_index)
+        return build_sequences(self.scaler.transform(X), self.net.profile.seq_len, window_index)
 
 
-def variant_flags(variant: str, config: ExperimentConfig):
+def variant_flags(variant: str):
+    """The network's (use_mha, use_residual) for ``variant``: 'crle' has no
+    attention and 'cale' no residual connections."""
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    use_mha = config.model.use_mha and variant != "crle"
-    use_residual = config.model.use_residual and variant != "cale"
-    return use_mha, use_residual
+    return variant != "crle", variant != "cale"
 
 
 def build_model(config: ExperimentConfig, variant: str, input_width: int):
     """The untrained network and the forest config (None for the 'carl'
     variant) of a model; train_model fits them, load_model fills them from a
     checkpoint."""
-    use_mha, use_residual = variant_flags(variant, config)
+    use_mha, use_residual = variant_flags(variant)
     profile = config.profile()
     net = CarleNet(
         input_width,
         profile,
         use_mha=use_mha,
         use_residual=use_residual,
-        cross_block_residual=config.model.cross_block_residual,
         seed=derive_seed(config.seed, "init"),
     )
     if variant == "carl":
@@ -275,9 +268,8 @@ def train_model(X, y, config: ExperimentConfig, variant: str = "carle", window_i
         raise InputError(f"feature/label mismatch: {len(X)} rows vs {len(y)} labels")
     net, forest_config = build_model(config, variant, X.shape[1])
 
-    scaler = Scaler.fit(X, clip=config.model.z_clip) if config.model.standardize else None
-    Xs = scaler.transform(X) if scaler is not None else X
-    seqs = build_sequences(Xs, net.profile.seq_len, window_index)
+    scaler = Scaler.fit(X, clip=config.model.z_clip)
+    seqs = build_sequences(scaler.transform(X), net.profile.seq_len, window_index)
     report = train(net, seqs, y, config.training, seed=derive_seed(config.seed, "train"))
 
     trained_forest = None
@@ -294,9 +286,10 @@ def train_model(X, y, config: ExperimentConfig, variant: str = "carle", window_i
 def save_model(path, model: TrainedModel, config: ExperimentConfig):
     """Save ``model``, trained from ``config``; the header stores the config
     and not the model's structure, which load_model rebuilds from it."""
-    sections = {"nn": dict(model.net.parameters())}
-    if model.scaler is not None:
-        sections["scaler"] = {"mean": model.scaler.mean, "std": model.scaler.std}
+    sections = {
+        "nn": dict(model.net.parameters()),
+        "scaler": {"mean": model.scaler.mean, "std": model.scaler.std},
+    }
     if model.forest is not None:
         sections["forest"] = {name: getattr(model.forest, name) for name in forest_mod.Forest.ARRAYS}
     meta = {
@@ -347,11 +340,9 @@ def load_model(path) -> TrainedModel:
             )
         net, forest_config = build_model(config, meta["variant"], width)
         net.set_weights(sections["nn"])
-        scaler = None
-        if config.model.standardize:
-            scaler = Scaler(
-                sections["scaler"]["mean"], sections["scaler"]["std"], config.model.z_clip
-            ).validate(net.input_width)
+        scaler = Scaler(
+            sections["scaler"]["mean"], sections["scaler"]["std"], config.model.z_clip
+        ).validate(net.input_width)
         forest = None
         if forest_config is not None:
             arrays = {name: sections["forest"][name] for name in forest_mod.Forest.ARRAYS}

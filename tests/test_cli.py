@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from carle.dataio import (
     read_labels_csv,
     read_signal_csv,
     write_features_csv,
+    write_labels_csv,
     write_signal_csv,
 )
 from carle.signal import MultiChannelSignal
@@ -754,6 +756,59 @@ def _deep_set(root, tmp_path):
 _deep_set.names = "--set seed"
 
 
+def _model_key(command, override):
+    """Rows that run ``command`` with a --set of a key the model section does
+    not have: only the variant turns attention or residuals off."""
+    def make_args(root, tmp_path):
+        return [
+            command, "--features", str(root / "feats.csv"), "--set", "training.epochs=2",
+            "--set", override,
+        ]
+
+    make_args.names = override.split("=")[0]
+    return pytest.param(make_args, id=f"{command} {override}")
+
+
+def _signal_rows_narrower_than_header(root, tmp_path):
+    path = tmp_path / "narrow.csv"
+    path.write_text((root / "sig.csv").read_text().replace("t,ch1\n", "t,ch1,ch2\n", 1))
+    return ["extract", "--signal", str(path)]
+
+
+_signal_rows_narrower_than_header.names = "narrow.csv:3: 2 values, header has 3"
+
+
+def _unclosed_npy_header(root, tmp_path):
+    """A checkpoint whose scaler::mean member has an .npy header without its
+    closing brace, re-zipped as an editor would."""
+    path = tmp_path / "unclosed.npz"
+    with zipfile.ZipFile(root / "run" / "checkpoint.npz") as old, zipfile.ZipFile(path, "w") as new:
+        for info in old.infolist():
+            data = old.read(info)
+            if info.filename == "scaler::mean.npy":
+                data = data.replace(b"}", b" ", 1)
+            new.writestr(info, data)
+    return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
+
+
+_unclosed_npy_header.names = "unclosed.npz: unreadable checkpoint"
+
+
+def _labels_in_hours(command):
+    """Rows that train on the workspace labels times 500, which the default
+    forest.clamp_unit would clamp every prediction against."""
+    def make_args(root, tmp_path):
+        path = tmp_path / "hours.csv"
+        write_labels_csv(path, read_labels_csv(root / "labels.csv") * 500)
+        return [
+            command, "--features", str(root / "feats.csv"), "--labels", str(path),
+            "--set", "training.epochs=2",
+        ]
+
+    make_args.names = "hours.csv: labels span [0, 500], outside [0, 1] while forest.clamp_unit is on"
+    return pytest.param(make_args, id=f"{command} labels x500")
+
+
 def _carl_members(root):
     """The members of a 'carl' (forest-less) copy of the workspace checkpoint."""
     with np.load(root / "run" / "checkpoint.npz") as data:
@@ -909,6 +964,14 @@ def _run_carle(args):
         _out_of_memory("extraction.n_scales=1000000000000000"),
         _deep_config,
         _deep_set,
+        _model_key("train", "model.use_mha=false"),
+        _model_key("ablate", "model.use_residual=false"),
+        _model_key("train", "model.cross_block_residual=true"),
+        _model_key("train", "model.standardize=false"),
+        _signal_rows_narrower_than_header,
+        _unclosed_npy_header,
+        _labels_in_hours("train"),
+        _labels_in_hours("ablate"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(workspace, tmp_path, make_args):

@@ -222,7 +222,7 @@ class TestParserDivergence:
 
     def test_ragged_row_after_header_rejected_at_its_line(self, tmp_path):
         path = self._write(tmp_path, "sig.csv", "t,ch1,ch2\n0,1,2\n\n1,3\n")
-        with pytest.raises(InputError, match=r"sig.csv:4: column count differs"):
+        with pytest.raises(InputError, match=r"sig.csv:4: 2 values, header has 3"):
             dataio.read_signal_csv(path, 100.0)
 
     @pytest.mark.parametrize("text", ["t\n0.0\n0.1\n", "time\n"])

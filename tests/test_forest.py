@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from carle import forest, pipeline
+from carle.checkpoint import Scaler
 from carle.errors import InputError, ParameterError
 from carle.forest import Forest, ForestConfig
 from carle.nn.train import TrainReport
@@ -477,12 +478,11 @@ class TestForest:
     def save_with_forest(path, model):
         """Save ``model`` as the forest of an untrained network whose logit
         rows are 2 wide (the gradcheck profile)."""
-        config = pipeline.ExperimentConfig().with_overrides(
-            {"model.profile": "gradcheck", "model.standardize": False}
-        )
+        config = pipeline.ExperimentConfig().with_overrides({"model.profile": "gradcheck"})
         config = dataclasses.replace(config, forest=model.config)
         net, _ = pipeline.build_model(config, "carle", 3)
-        trained = pipeline.TrainedModel(net, model, None, TrainReport(), "carle")
+        scaler = Scaler(np.zeros(3), np.ones(3))
+        trained = pipeline.TrainedModel(net, model, scaler, TrainReport(), "carle")
         pipeline.save_model(path, trained, config)
 
     def test_checkpoint_round_trip_shares_arrays(self, rng, tmp_path):

@@ -110,9 +110,7 @@ class TestInfer:
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
 
-    @pytest.mark.parametrize(
-        "flags", [{"use_mha": False}, {"use_residual": False}, {"cross_block_residual": True}]
-    )
+    @pytest.mark.parametrize("flags", [{"use_mha": False}, {"use_residual": False}])
     def test_equals_forward_bit_for_bit_in_each_variant(self, rng, flags):
         net = CarleNet(14, "pronostia", seed=5, **flags)
         jiggle_biases(net, rng)
@@ -210,16 +208,6 @@ class TestAblationWiring:
         logits, pred = net.forward(_batch(rng, 3))
         assert logits.shape == (3, 8)
 
-    def test_cross_block_residual_flag_adds_projection(self, rng):
-        base = CarleNet(14, "toy", seed=0)
-        crossed = CarleNet(14, "toy", cross_block_residual=True, seed=0)
-        assert crossed.cross_proj is not None
-        extra = crossed.parameter_count() - base.parameter_count()
-        assert extra == sum(p.size for p in crossed.cross_proj.params.values())
-        out_a = base.forward(_batch(rng, 2))[1]
-        out_b = crossed.forward(_batch(np.random.default_rng(12345), 2))[1]
-        assert out_a.shape == out_b.shape
-
     def test_lstm_skip_wiring(self, rng):
         # zero every LSTM gate weight: with sigmoid(0)=0.5 gates and zero
         # candidate, the recurrent stack emits zeros, so the block output
@@ -314,12 +302,11 @@ class TestWeightsRoundTrip:
             CarleNet(14, "mystery", seed=0)
 
 
-def _layout_digest(profile, use_mha, use_residual, cross_block_residual):
+def _layout_digest(profile, use_mha, use_residual):
     """SHA-256 prefix of a net's parameter names and shapes, its initial flat
     weights at seed 3, and the flat gradients and loss of one loss_and_grads."""
     prof = get_profile(profile)
-    net = CarleNet(14, profile, use_mha=use_mha, use_residual=use_residual,
-                   cross_block_residual=cross_block_residual, seed=3)
+    net = CarleNet(14, profile, use_mha=use_mha, use_residual=use_residual, seed=3)
     h = hashlib.sha256(repr([(name, arr.shape) for name, arr in net.parameters()]).encode())
     h.update(net.flat_params.tobytes())
     rng = np.random.default_rng(3)
@@ -329,45 +316,35 @@ def _layout_digest(profile, use_mha, use_residual, cross_block_residual):
     return h.hexdigest()[:16]
 
 
+_LAYOUT_PINS = [
+    ("xjtu", True, True, "001596cfb7c4c529"),
+    ("xjtu", True, False, "ea6d20b4d2391e25"),
+    ("xjtu", False, True, "60a3500504da4dd3"),
+    ("xjtu", False, False, "f2e21773c034ac28"),
+    ("pronostia", True, True, "aea4efbf2cc6236a"),
+    ("pronostia", True, False, "c83a9a0a24c3a033"),
+    ("pronostia", False, True, "ed1d5d7b9458bb91"),
+    ("pronostia", False, False, "e29868864b087402"),
+    ("toy", True, True, "750b1b98237639c4"),
+    ("toy", True, False, "5dc0551a44f79d23"),
+    ("toy", False, True, "40dfbf761850077a"),
+    ("toy", False, False, "93e22820119bbf52"),
+    ("gradcheck", True, True, "9abc19582cb68bd9"),
+    ("gradcheck", True, False, "42019f79fd29e485"),
+    ("gradcheck", False, True, "b15c752652d7b688"),
+    ("gradcheck", False, False, "8e6389378860b307"),
+]
+
+
 @pytest.mark.parametrize(
-    "profile, use_mha, use_residual, cross_block_residual, digest",
-    [
-        ("xjtu", True, True, True, "f5fc6499e7480172"),
-        ("xjtu", True, True, False, "001596cfb7c4c529"),
-        ("xjtu", True, False, True, "e863f579e4a0d1ca"),
-        ("xjtu", True, False, False, "ea6d20b4d2391e25"),
-        ("xjtu", False, True, True, "0f90da6495bf5ebf"),
-        ("xjtu", False, True, False, "60a3500504da4dd3"),
-        ("xjtu", False, False, True, "6af25df4c6fe68eb"),
-        ("xjtu", False, False, False, "f2e21773c034ac28"),
-        ("pronostia", True, True, True, "736ea6c08fd9e98d"),
-        ("pronostia", True, True, False, "aea4efbf2cc6236a"),
-        ("pronostia", True, False, True, "9096ce6a0cbf5a99"),
-        ("pronostia", True, False, False, "c83a9a0a24c3a033"),
-        ("pronostia", False, True, True, "68a00b8b145d522b"),
-        ("pronostia", False, True, False, "ed1d5d7b9458bb91"),
-        ("pronostia", False, False, True, "1dd95e4f8b6b51fb"),
-        ("pronostia", False, False, False, "e29868864b087402"),
-        ("toy", True, True, True, "c203c8f579edf01e"),
-        ("toy", True, True, False, "750b1b98237639c4"),
-        ("toy", True, False, True, "7b493734a524e389"),
-        ("toy", True, False, False, "5dc0551a44f79d23"),
-        ("toy", False, True, True, "f075d4917ef4fa79"),
-        ("toy", False, True, False, "40dfbf761850077a"),
-        ("toy", False, False, True, "df841d45f93d37a9"),
-        ("toy", False, False, False, "93e22820119bbf52"),
-        ("gradcheck", True, True, True, "00f997e414b1a778"),
-        ("gradcheck", True, True, False, "9abc19582cb68bd9"),
-        ("gradcheck", True, False, True, "37ead32e85ce884c"),
-        ("gradcheck", True, False, False, "42019f79fd29e485"),
-        ("gradcheck", False, True, True, "96b0908520e4ca32"),
-        ("gradcheck", False, True, False, "b15c752652d7b688"),
-        ("gradcheck", False, False, True, "062995a2b796abc9"),
-        ("gradcheck", False, False, False, "8e6389378860b307"),
-    ],
+    "profile, use_mha, use_residual, digest",
+    _LAYOUT_PINS,
+    # each id keeps the False of the cross-block projection flag the network
+    # once had, so every pin kept its id when the flag went
+    ids=[f"{p}-{m}-{r}-False-{d}" for p, m, r, d in _LAYOUT_PINS],
 )
-def test_parameter_layout_pinned(profile, use_mha, use_residual, cross_block_residual, digest):
+def test_parameter_layout_pinned(profile, use_mha, use_residual, digest):
     """The order of parameters() (which fixes the checkpoint's nn:: members
     and the flat vectors), the initial weights' random draws and one step's
     gradients, for every profile and ablation flag."""
-    assert _layout_digest(profile, use_mha, use_residual, cross_block_residual) == digest
+    assert _layout_digest(profile, use_mha, use_residual) == digest
