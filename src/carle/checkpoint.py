@@ -9,6 +9,7 @@ header and the arrays without interpreting the model.
 
 import json
 import tokenize
+import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import InputError
 
 FORMAT_MAGIC = "carle-checkpoint"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -104,7 +105,10 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise InputError(f"{path}: not a model checkpoint (a bare .npy array)")
     sections = {}
     try:
-        with data:
+        with data, warnings.catch_warnings():
+            # numpy warns and reads on when a member's .npy header needs its
+            # Python 2 rewrite ('shape': (14L,)), which no saved checkpoint needs
+            warnings.simplefilter("error", UserWarning)
             meta = _header(data, path)
             for member in data.files:
                 if member != "meta":
@@ -114,8 +118,8 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise
     # zipfile: NotImplementedError on a member it cannot unpack, RuntimeError on an encrypted one;
     # a member's .npy header: TokenError on an unclosed bracket or string, TypeError on an
-    # unhashable dict key
+    # unhashable dict key, UserWarning on a Python 2 spelling
     except (ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error, NotImplementedError,
-            RuntimeError, tokenize.TokenError, TypeError) as exc:
+            RuntimeError, tokenize.TokenError, TypeError, UserWarning) as exc:
         raise InputError(f"{path}: unreadable checkpoint ({exc})") from exc
     return CheckpointBundle(meta, sections)

@@ -38,8 +38,9 @@ def _parse_set(values):
 
 
 def resolve_config(args, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Precedence: flags > --set overrides > config file > ``base`` (a
-    checkpoint's config) > defaults."""
+    """Precedence: flags (``--profile``, ``--seed`` and ``--rotation-hz``, which
+    set model.profile, seed and synth.rotation_hz) > --set overrides > config
+    file > ``base`` (a checkpoint's config) > defaults."""
     config = base if base is not None else ExperimentConfig()
     if getattr(args, "config", None):
         config = ExperimentConfig.from_file(args.config, base=config)
@@ -48,6 +49,8 @@ def resolve_config(args, base: ExperimentConfig | None = None) -> ExperimentConf
         overrides["model.profile"] = args.profile
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
+    if getattr(args, "rotation_hz", None) is not None:
+        overrides["synth.rotation_hz"] = args.rotation_hz
     return config.with_overrides(overrides)
 
 
@@ -106,14 +109,11 @@ def _labels(path, config, window_index, n_windows=None):
     return y
 
 
-def _check_unit(path, y, config):
-    """Refuse labels read from ``path`` outside [0, 1] while forest.clamp_unit
-    holds every prediction to that range."""
-    if path and config.forest.clamp_unit and not ((y >= 0.0) & (y <= 1.0)).all():
-        raise InputError(
-            f"{path}: labels span [{y.min():g}, {y.max():g}], outside [0, 1] "
-            "while forest.clamp_unit is on"
-        )
+def _check_unit(path, y):
+    """Refuse labels read from ``path`` outside [0, 1], the range every
+    prediction is clamped to."""
+    if path and not ((y >= 0.0) & (y <= 1.0)).all():
+        raise InputError(f"{path}: labels span [{y.min():g}, {y.max():g}], outside [0, 1]")
 
 
 @contextlib.contextmanager
@@ -140,7 +140,7 @@ def _out_dir(path):
 
 def cmd_synth(args) -> int:
     config = resolve_config(args)
-    signal, meta = pipeline.synth_signal(config, rotation_hz=args.rotation_hz)
+    signal, meta = pipeline.synth_signal(config)
     dataio.write_signal_csv(args.out, signal, config.config_hash())
     if args.meta:
         dataio.write_metrics_json(args.meta, meta, config.config_hash())
@@ -163,7 +163,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     config = resolve_config(args)
     X, y, _, idx = _load_features(args, config)
-    _check_unit(args.labels, y, config)
+    _check_unit(args.labels, y)
     with _out_dir(args.out_dir) as out_dir:
         model = pipeline.train_model(X, y, config, args.variant, idx)
         y_pred = model.predict(X, idx)
@@ -205,8 +205,8 @@ def cmd_ablate(args) -> int:
     if args.eval_features:
         eval_X, _, eval_idx = dataio.read_features_csv(args.eval_features)
         eval_y = _labels(args.eval_labels, config, eval_idx)
-    _check_unit(args.labels, y, config)
-    _check_unit(args.eval_labels, eval_y, config)
+    _check_unit(args.labels, y)
+    _check_unit(args.eval_labels, eval_y)
 
     rows = []
     with _out_dir(args.out_dir) as out_dir:
@@ -239,11 +239,11 @@ def cmd_noise(args) -> int:
 
 def cmd_crossdomain(args) -> int:
     model, config = _load_model(args)
-    source_X, _, source_idx = dataio.read_features_csv(args.source_features)
+    source_X, _, _ = dataio.read_features_csv(args.source_features)
     target_X, _, target_idx = dataio.read_features_csv(args.target_features)
     target_y = _labels(args.target_labels, config, target_idx)
     aligned, unaligned = pipeline.crossdomain_predictions(
-        model, source_X, target_X, config, source_idx, target_idx
+        model, source_X, target_X, config, target_idx
     )
     payload = {
         "aligned": MetricReport.compute(target_y, aligned).to_dict(),
@@ -267,7 +267,7 @@ def cmd_snr_sweep(args) -> int:
         raise ParameterError(
             f"--sigmas expects comma-separated numbers, got {args.sigmas!r}"
         ) from exc
-    pairs = snr_sweep(sig, sigmas, cap_db=config.snr_cap_db)
+    pairs = snr_sweep(sig, sigmas)
     dataio.write_snr_csv(args.out, pairs, config.config_hash())
     for sigma, snr in pairs:
         print(f"sigma={sigma:g}: {snr:.3f} dB")

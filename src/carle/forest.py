@@ -7,7 +7,7 @@ forest prediction is the exact arithmetic mean of the tree predictions.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -23,7 +23,6 @@ class ForestConfig:
     min_samples_leaf: int = 2
     max_depth: int | None = None
     bootstrap: bool = True
-    clamp_unit: bool = True  # clamp predictions into [0,1] for normalised labels
 
     BOUNDS = ((">= 1", lambda v: v >= 1, ("n_trees", "max_features", "min_samples_leaf", "max_depth")),)
 
@@ -154,7 +153,6 @@ class Forest:
     value: np.ndarray
     offsets: np.ndarray
     n_features: int
-    config: ForestConfig = field(default_factory=ForestConfig)
 
     @property
     def trees(self) -> tuple:
@@ -164,7 +162,6 @@ class Forest:
                 *(getattr(self, name)[lo:hi] for name in self.ARRAYS[:-1]),
                 np.array([0, hi - lo]),
                 self.n_features,
-                self.config,
             )
             for lo, hi in zip(self.offsets[:-1], self.offsets[1:])
         )
@@ -212,8 +209,6 @@ class Forest:
         for lo in range(0, len(X), step):
             out[lo:lo + step] = self._tree_sum(X[lo:lo + step])
         out /= n_trees
-        if self.config.clamp_unit:
-            out = np.clip(out, 0.0, 1.0)
         return out
 
     @functools.cached_property
@@ -267,5 +262,4 @@ def fit(logits, targets, config: ForestConfig, seed: int = 0) -> Forest:
         *(np.concatenate(arrays) for arrays in zip(*trees)),
         np.cumsum([0] + [len(tree[0]) for tree in trees], dtype=np.int64),
         X.shape[1],
-        config,
     )

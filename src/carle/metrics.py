@@ -1,7 +1,7 @@
 """Prediction-quality metrics: MAE, RMSE, and the asymmetric challenge score."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,12 +60,4 @@ class MetricReport:
         return cls(mae=mae(y, y_hat), rmse=rmse(y, y_hat), score=phm_score(y, y_hat), n=len(y))
 
     def to_dict(self) -> dict:
-        # rmse doubles as mse_alias: some reports tabulate this formula
-        # under the name MSE
-        return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "mse_alias": self.rmse,
-            "score": self.score,
-            "n": self.n,
-        }
+        return asdict(self)

@@ -65,12 +65,10 @@ class ModelSection:
 class AdaptSection:
     pca_components: int | None = None  # None -> full feature width
     ridge: float = 1e-8
-    space: str = "feature"  # or "logit"
 
     BOUNDS = (
         (">= 1", lambda v: v >= 1, ("pca_components",)),
         (">= 0", lambda v: v >= 0, ("ridge",)),
-        ("'feature' or 'logit'", lambda v: v in ("feature", "logit"), ("space",)),
     )
 
 
@@ -78,7 +76,6 @@ class AdaptSection:
 class ExperimentConfig:
     seed: int = 0
     sample_rate_hz: float = 1024.0
-    snr_cap_db: float = 120.0
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     labels: LabelConfig = field(default_factory=LabelConfig)
     model: ModelSection = field(default_factory=ModelSection)
@@ -207,15 +204,13 @@ class TrainedModel:
     config: ExperimentConfig | None = None  # the config it was trained from
 
     def predict(self, X: np.ndarray, window_index=None) -> np.ndarray:
-        seqs = self._sequences(X, window_index)
-        logits, scalar = self.net.infer(seqs)
+        """Normalised RUL per feature row: the forest's prediction from the
+        network's logits, or the scalar head's for the forest-less 'carl',
+        clamped to [0, 1] as normalised RUL is."""
+        logits, rul = self.net.infer(self._sequences(X, window_index))
         if self.forest is not None:
-            return self.forest.predict(logits)
-        # forest-less variant consumes the scalar head; labels are normalised
-        return np.clip(scalar, 0.0, 1.0)
-
-    def logits(self, X: np.ndarray, window_index=None) -> np.ndarray:
-        return self.net.logits(self._sequences(X, window_index))
+            rul = self.forest.predict(logits)
+        return np.clip(rul, 0.0, 1.0)
 
     def _sequences(self, X: np.ndarray, window_index=None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -346,10 +341,7 @@ def load_model(path) -> TrainedModel:
         forest = None
         if forest_config is not None:
             arrays = {name: sections["forest"][name] for name in forest_mod.Forest.ARRAYS}
-            forest = forest_mod.Forest(
-                **arrays, n_features=net.profile.linear_units[-1], config=forest_config
-            ).validate()
-            forest.config = dataclasses.replace(forest_config, n_trees=len(forest.offsets) - 1)
+            forest = forest_mod.Forest(**arrays, n_features=net.profile.linear_units[-1]).validate()
         report = _stored_report(meta)
     except (ParameterError, InputError) as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -379,18 +371,11 @@ def align_features(source_X, target_X, config: ExperimentConfig) -> np.ndarray:
 
 
 def crossdomain_predictions(
-    model: TrainedModel, source_X, target_X, config: ExperimentConfig, source_index=None, target_index=None
+    model: TrainedModel, source_X, target_X, config: ExperimentConfig, target_index=None
 ):
     """(aligned, unaligned) predictions of a source-trained model on target
-    features; each side's sequences follow its window index."""
-    if config.adapt.space == "logit":
-        if model.forest is None:
-            raise InputError("logit-space alignment needs a forest-bearing checkpoint")
-        source_logits = model.logits(source_X, source_index)
-        logits = align_features(source_logits, model.logits(target_X, target_index), config)
-        aligned = model.forest.predict(logits)
-    else:
-        aligned = model.predict(align_features(source_X, target_X, config), target_index)
+    features; the target's sequences follow its window index."""
+    aligned = model.predict(align_features(source_X, target_X, config), target_index)
     return aligned, model.predict(target_X, target_index)
 
 

@@ -76,6 +76,15 @@ class TestSynthExtract:
         meta = json.loads((root / "meta.json").read_text())
         assert "config_hash" in meta
 
+    def test_rotation_hz_changes_the_config_hash(self, tmp_path):
+        # --rotation-hz sets synth.rotation_hz, so the stamp tells the two recordings apart
+        stamps = []
+        for flags in ([], ["--rotation-hz", "40"]):
+            out = tmp_path / f"sig{len(stamps)}.csv"
+            assert run_cli("synth", "--out", str(out), "--seed", "8", "--set", "synth.duration_s=1", *flags) == 0
+            stamps.append(out.read_text().splitlines()[0])
+        assert stamps[0] != stamps[1]
+
 
 class TestTrainArtifacts:
     def test_artifacts_exist(self, workspace):
@@ -86,7 +95,7 @@ class TestTrainArtifacts:
     def test_metrics_schema(self, workspace):
         root, _ = workspace
         doc = json.loads((root / "run" / "metrics.json").read_text())
-        assert {"mae", "rmse", "mse_alias", "score", "n"} <= set(doc["train"])
+        assert {"mae", "rmse", "score", "n"} <= set(doc["train"])
         assert "config_hash" in doc
 
     def test_history_rows_match_epochs(self, workspace):
@@ -756,16 +765,18 @@ def _deep_set(root, tmp_path):
 _deep_set.names = "--set seed"
 
 
-def _model_key(command, override):
-    """Rows that run ``command`` with a --set of a key the model section does
-    not have: only the variant turns attention or residuals off."""
+def _removed_key(command, override):
+    """Rows that run ``command`` with a --set of a key the config no longer
+    has: only the variant turns attention or residuals off, every RUL is
+    clamped to [0, 1], alignment runs in feature space and snr-sweep caps
+    its SNR itself."""
     def make_args(root, tmp_path):
         return [
             command, "--features", str(root / "feats.csv"), "--set", "training.epochs=2",
             "--set", override,
         ]
 
-    make_args.names = override.split("=")[0]
+    make_args.names = f"unknown config keys: [{override.split('=')[0]!r}]"
     return pytest.param(make_args, id=f"{command} {override}")
 
 
@@ -794,9 +805,26 @@ def _unclosed_npy_header(root, tmp_path):
 _unclosed_npy_header.names = "unclosed.npz: unreadable checkpoint"
 
 
+def _python2_npy_header(root, tmp_path):
+    """A checkpoint whose scaler::mean member has the .npy header a Python 2
+    numpy wrote, with a long-int shape (7L,), re-zipped as an editor would."""
+    path = tmp_path / "python2.npz"
+    with zipfile.ZipFile(root / "run" / "checkpoint.npz") as old, zipfile.ZipFile(path, "w") as new:
+        for info in old.infolist():
+            data = old.read(info)
+            if info.filename == "scaler::mean.npy":
+                data = data.replace(b",), }", b"L,),}", 1)  # keeps the header length
+                assert b"L,),}" in data
+            new.writestr(info, data)
+    return ["predict", "--checkpoint", str(path), "--features", str(root / "feats.csv")]
+
+
+_python2_npy_header.names = "python2.npz: unreadable checkpoint"
+
+
 def _labels_in_hours(command):
-    """Rows that train on the workspace labels times 500, which the default
-    forest.clamp_unit would clamp every prediction against."""
+    """Rows that train on the workspace labels times 500, which every
+    prediction, clamped to [0, 1], would miss."""
     def make_args(root, tmp_path):
         path = tmp_path / "hours.csv"
         write_labels_csv(path, read_labels_csv(root / "labels.csv") * 500)
@@ -805,7 +833,7 @@ def _labels_in_hours(command):
             "--set", "training.epochs=2",
         ]
 
-    make_args.names = "hours.csv: labels span [0, 500], outside [0, 1] while forest.clamp_unit is on"
+    make_args.names = "hours.csv: labels span [0, 500], outside [0, 1]"
     return pytest.param(make_args, id=f"{command} labels x500")
 
 
@@ -848,19 +876,6 @@ def _zip_directory_edit(offset, mask, what):
 
     make_args.names = "zip_edit.npz"
     return pytest.param(make_args, id=what)
-
-
-def _logit_space_without_forest(root, tmp_path):
-    path = tmp_path / "carl.npz"
-    np.savez_compressed(path, **_carl_members(root))
-    feats = str(root / "feats.csv")
-    return [
-        "crossdomain", "--checkpoint", str(path), "--source-features", feats,
-        "--target-features", feats, "--set", "adapt.space=logit",
-    ]
-
-
-_logit_space_without_forest.names = "forest"
 
 
 def _noise_set(override):
@@ -907,7 +922,7 @@ def _run_carle(args):
         _scaled_signal(1e160),
         _scaled_signal(1e-150),
         _predict_with("--profile", "pronostia"),
-        _predict_with("--set", "forest.clamp_unit=false"),
+        _predict_with("--set", "forest.bootstrap=false"),
         _short_labels("--labels"),
         _short_labels("--eval-labels"),
         _short_labels("--target-labels"),
@@ -934,7 +949,6 @@ def _run_carle(args):
         _bad_member("scaler::mean", _first_set_to(np.nan), "nan"),
         _bad_member("scaler::std", lambda a: a[:3], "3-long"),
         _bad_member("scaler::std", lambda a: a.astype(str), "str"),
-        _logit_space_without_forest,
         _noise_set("noise.salt_pepper_amplitude=1e308"),
         _noise_set("noise.gaussian_std=1e308"),
         _undecodable_features, _undecodable_config, _directory_checkpoint, _out_dir_is_a_file,
@@ -964,12 +978,16 @@ def _run_carle(args):
         _out_of_memory("extraction.n_scales=1000000000000000"),
         _deep_config,
         _deep_set,
-        _model_key("train", "model.use_mha=false"),
-        _model_key("ablate", "model.use_residual=false"),
-        _model_key("train", "model.cross_block_residual=true"),
-        _model_key("train", "model.standardize=false"),
+        _removed_key("train", "model.use_mha=false"),
+        _removed_key("ablate", "model.use_residual=false"),
+        _removed_key("train", "model.cross_block_residual=true"),
+        _removed_key("train", "model.standardize=false"),
+        _removed_key("train", "forest.clamp_unit=false"),
+        _removed_key("ablate", "adapt.space=logit"),
+        _removed_key("train", "snr_cap_db=90"),
         _signal_rows_narrower_than_header,
         _unclosed_npy_header,
+        _python2_npy_header,
         _labels_in_hours("train"),
         _labels_in_hours("ablate"),
     ],

@@ -382,7 +382,6 @@ class TestForest:
             value=np.array([0.2, 0.4]),
             offsets=np.array([0, 1, 2]),
             n_features=3,
-            config=ForestConfig(),
         )
         assert model.predict(np.zeros((1, 3)))[0] == (0.2 + 0.4) / 2.0
 
@@ -407,7 +406,7 @@ class TestForest:
     @staticmethod
     def scalar_predict(model, X):
         """Every row walked down every tree a node at a time, its leaf values
-        summed in tree order, then averaged and clamped as predict does."""
+        summed in tree order, then averaged as predict does."""
         out = np.zeros(len(X))
         for i, x in enumerate(X):
             for tree in model.trees:
@@ -417,7 +416,7 @@ class TestForest:
                     node = tree.left[node] if go_left else tree.right[node]
                 out[i] += tree.value[node]
         out /= len(model.offsets) - 1
-        return np.clip(out, 0.0, 1.0) if model.config.clamp_unit else out
+        return out
 
     @staticmethod
     def deepest_leaf(tree):
@@ -479,7 +478,6 @@ class TestForest:
         """Save ``model`` as the forest of an untrained network whose logit
         rows are 2 wide (the gradcheck profile)."""
         config = pipeline.ExperimentConfig().with_overrides({"model.profile": "gradcheck"})
-        config = dataclasses.replace(config, forest=model.config)
         net, _ = pipeline.build_model(config, "carle", 3)
         scaler = Scaler(np.zeros(3), np.ones(3))
         trained = pipeline.TrainedModel(net, model, scaler, TrainReport(), "carle")
@@ -488,14 +486,16 @@ class TestForest:
     def test_checkpoint_round_trip_shares_arrays(self, rng, tmp_path):
         X = rng.normal(size=(40, 2))
         y = rng.uniform(0, 1, 40)
-        model = forest.fit(X, y, ForestConfig(n_trees=12, clamp_unit=True), seed=8)
+        model = forest.fit(X, y, ForestConfig(n_trees=12), seed=8)
         self.save_with_forest(tmp_path / "ckpt.npz", model)
         loaded = pipeline.load_model(tmp_path / "ckpt.npz").forest
         dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64, np.int64)
         for name, dtype in zip(Forest.ARRAYS, dtypes):
             back = getattr(loaded, name)
             assert back.dtype == dtype and np.array_equal(back, getattr(model, name))
-        assert loaded.config == model.config and loaded.n_features == 2
+        # a forest is its arrays and its logit width, nothing a config holds
+        assert [f.name for f in dataclasses.fields(loaded)] == [*Forest.ARRAYS, "n_features"]
+        assert loaded.n_features == 2
         assert len(loaded.trees) == 12
         for tree in loaded.trees:
             assert np.shares_memory(tree.feature, loaded.feature)
@@ -568,17 +568,11 @@ class TestForest:
     def test_predictions_within_target_range_unclamped(self, rng):
         X = rng.normal(size=(60, 5))
         y = rng.uniform(-3, 7, 60)
-        model = forest.fit(X, y, ForestConfig(n_trees=20, clamp_unit=False), seed=9)
+        model = forest.fit(X, y, ForestConfig(n_trees=20), seed=9)
         pred = model.predict(rng.normal(size=(40, 5)))
         assert pred.min() >= y.min() - 1e-12
         assert pred.max() <= y.max() + 1e-12
-
-    def test_clamped_to_unit_interval(self, rng):
-        X = rng.normal(size=(30, 2))
-        y = rng.uniform(-0.5, 1.5, 30)
-        model = forest.fit(X, y, ForestConfig(n_trees=10, clamp_unit=True), seed=4)
-        pred = model.predict(rng.normal(size=(50, 2)))
-        assert pred.min() >= 0.0 and pred.max() <= 1.0
+        assert pred.max() > 1.0  # the forest does not clamp; TrainedModel.predict does
 
     def test_seed_determinism(self, rng):
         X = rng.normal(size=(25, 3))

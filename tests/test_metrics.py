@@ -79,8 +79,7 @@ class TestMetricReport:
     def test_fixed_json_keys(self, tmp_path):
         report = MetricReport.compute([1.0, 0.5], [0.9, 0.6])
         doc = report.to_dict()
-        assert set(doc) == {"mae", "rmse", "mse_alias", "score", "n"}
-        assert doc["mse_alias"] == doc["rmse"]
+        assert set(doc) == {"mae", "rmse", "score", "n"}
         assert doc["n"] == 2
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))

@@ -25,26 +25,26 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 PINS = {
     "STDOUT": "4b6fee03dafbe9e1",
-    "ablation/ablation.csv": "5daf5103e9650034",
-    "ablation/cale.npz": "80d553d57bac62e4",
-    "ablation/carl.npz": "9548019253029eff",
-    "ablation/carle.npz": "e3298ac12fc51f4d",
-    "ablation/crle.npz": "fb540f32156f1895",
-    "crossdomain.json": "6fb75d0a9ef3ea35",
-    "feats.csv": "b19951b129731852",
-    "labels.csv": "5d3aa07d40d366ee",
-    "noise.json": "2e8329c0dd544d04",
-    "other_feats.csv": "50186963d303efbe",
-    "other_sig.csv": "c83eca43a3e74915",
-    "pred.csv": "4184cb953351a5c3",
-    "pred_metrics.json": "12b244fc047839cb",
-    "run/checkpoint.npz": "e3298ac12fc51f4d",
-    "run/history.csv": "283b78bdc50149ba",
-    "run/metrics.json": "0f35e6294efbda84",
-    "run/predictions.csv": "4184cb953351a5c3",
-    "sig.csv": "75ef86fbf380bbd1",
-    "sig_meta.json": "0235740b9a37e8ed",
-    "snr.csv": "67c9db1b9410389e",
+    "ablation/ablation.csv": "2ac779a956dbed01",
+    "ablation/cale.npz": "7d281de5b0204b19",
+    "ablation/carl.npz": "d06048e4d72319f2",
+    "ablation/carle.npz": "b15e727bfea5595b",
+    "ablation/crle.npz": "cc3e6c878b31e784",
+    "crossdomain.json": "10a948e6d9cd5f39",
+    "feats.csv": "ebf8e55e5c6a04ed",
+    "labels.csv": "09d2f26b652f2709",
+    "noise.json": "43a10c3d27222b8d",
+    "other_feats.csv": "193a1ba9fcc86aba",
+    "other_sig.csv": "ea422cf66252e426",
+    "pred.csv": "b3c6e890f597bfca",
+    "pred_metrics.json": "f46d558b9f72aebc",
+    "run/checkpoint.npz": "b15e727bfea5595b",
+    "run/history.csv": "c9824d77521a9ac4",
+    "run/metrics.json": "2ce9dfb0e8554ae1",
+    "run/predictions.csv": "b3c6e890f597bfca",
+    "sig.csv": "6d654da3ac548b65",
+    "sig_meta.json": "b8221c9e54035473",
+    "snr.csv": "6da8a3eb4925fc1d",
 }
 
 
