@@ -1,4 +1,4 @@
-"""Cross-domain feature alignment: PCA projection and CORAL covariance matching."""
+"""Cross-domain feature alignment by CORAL covariance matching, and the PCA fit."""
 
 from dataclasses import dataclass
 
@@ -33,19 +33,6 @@ def pca_fit(X, k: int) -> PcaModel:
         if row[pivot] < 0:
             row *= -1.0
     return PcaModel(mean, components, np.maximum(evals[order], 0.0))
-
-
-def pca_transform(model: PcaModel, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != len(model.mean):
-        raise InputError(f"feature width mismatch: model has {len(model.mean)}, got {X.shape[1]}")
-    return (X - model.mean) @ model.components.T
-
-
-def pca_inverse(model: PcaModel, Z) -> np.ndarray:
-    """Map projected rows back into the original feature space."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    return Z @ model.components + model.mean
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError
 
 FORMAT_MAGIC = "carle-checkpoint"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass

@@ -81,15 +81,16 @@ def _load_model(args):
 
 
 def _load_features(args, config):
-    """Feature matrix + labels from --features/--labels or a raw --signal."""
+    """Feature matrix, labels and window index from --features/--labels or a
+    raw --signal."""
     if bool(args.features) == bool(args.signal):
         raise InputError("provide either --features or --signal")
     if args.features:
-        X, names, idx = dataio.read_features_csv(args.features)
-        return X, _labels(args.labels, config, idx), names, idx
+        X, _, idx = dataio.read_features_csv(args.features)
+        return X, _labels(args.labels, config, idx), idx
     sig = dataio.read_signal_csv(args.signal, config.sample_rate_hz)
-    X, names, idx = pipeline.extract_matrix(sig, config)
-    return X, _labels(args.labels, config, idx, pipeline.window_count(sig, config)), names, idx
+    X, _, idx = pipeline.extract_matrix(sig, config)
+    return X, _labels(args.labels, config, idx, pipeline.window_count(sig, config)), idx
 
 
 def _labels(path, config, window_index, n_windows=None):
@@ -162,7 +163,7 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     config = resolve_config(args)
-    X, y, _, idx = _load_features(args, config)
+    X, y, idx = _load_features(args, config)
     _check_unit(args.labels, y)
     with _out_dir(args.out_dir) as out_dir:
         model = pipeline.train_model(X, y, config, args.variant, idx)
@@ -185,7 +186,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, config = _load_model(args)
-    X, y, _, idx = _load_features(args, config)
+    X, y, idx = _load_features(args, config)
     y_pred = model.predict(X, idx)
     dataio.write_predictions_csv(args.out, idx, y, y_pred, config.config_hash())
     if args.metrics:
@@ -200,7 +201,7 @@ def cmd_ablate(args) -> int:
     if args.eval_labels and not args.eval_features:
         raise InputError("--eval-labels needs --eval-features")
     config = resolve_config(args)
-    X, y, _, idx = _load_features(args, config)
+    X, y, idx = _load_features(args, config)
     eval_X, eval_y, eval_idx = X, y, idx
     if args.eval_features:
         eval_X, _, eval_idx = dataio.read_features_csv(args.eval_features)
@@ -237,18 +238,27 @@ def cmd_noise(args) -> int:
     return 0
 
 
+def _domain_features(path, width):
+    """The feature CSV at ``path`` with its window index, refused unless it has
+    ``width`` columns and the width + 1 rows CORAL needs to fit a covariance."""
+    X, _, idx = dataio.read_features_csv(path)
+    if X.shape[1] != width or len(X) < width + 1:
+        raise InputError(
+            f"{path}: crossdomain needs at least {width + 1} rows of {width} features, "
+            f"got {len(X)} of {X.shape[1]}"
+        )
+    return X, idx
+
+
 def cmd_crossdomain(args) -> int:
     model, config = _load_model(args)
-    source_X, _, _ = dataio.read_features_csv(args.source_features)
-    target_X, _, target_idx = dataio.read_features_csv(args.target_features)
+    source_X, _ = _domain_features(args.source_features, model.net.input_width)
+    target_X, target_idx = _domain_features(args.target_features, model.net.input_width)
     target_y = _labels(args.target_labels, config, target_idx)
-    aligned, unaligned = pipeline.crossdomain_predictions(
-        model, source_X, target_X, config, target_idx
-    )
+    aligned, unaligned = pipeline.crossdomain_predictions(model, source_X, target_X, target_idx)
     payload = {
         "aligned": MetricReport.compute(target_y, aligned).to_dict(),
         "unaligned": MetricReport.compute(target_y, unaligned).to_dict(),
-        "adapt": dataclasses.asdict(config.adapt),
     }
     dataio.write_metrics_json(args.out, payload, config.config_hash())
     print(

@@ -22,8 +22,8 @@ from .labels import LabelConfig, make_labels
 from .metrics import MetricReport
 from .nn.model import PROFILES, CarleNet, get_profile
 from .nn.train import TrainConfig, TrainReport, train
-from .signal import (MultiChannelSignal, NoiseConfig, SynthConfig, SynthProfile, extract_windows,
-                     inject_noise, synth_run_to_failure)
+from .signal import (MultiChannelSignal, NoiseConfig, SynthConfig, SynthProfile, inject_noise,
+                     synth_run_to_failure)
 
 VARIANTS = ("carle", "carl", "crle", "cale")
 
@@ -43,8 +43,8 @@ def derive_seed(root_seed: int, stream: str) -> int:
 # A config section lives in the module of the function that reads it:
 # features.ExtractionConfig, labels.LabelConfig, nn.train.TrainConfig,
 # forest.ForestConfig, signal.NoiseConfig and signal.SynthProfile (which
-# synth_config() resolves into a signal.SynthConfig). The model and adapt
-# sections are read here, by build_model and align_features.
+# synth_config() resolves into a signal.SynthConfig). The model section is
+# read here, by build_model.
 # ---------------------------------------------------------------------------
 
 
@@ -62,17 +62,6 @@ class ModelSection:
 
 
 @dataclass
-class AdaptSection:
-    pca_components: int | None = None  # None -> full feature width
-    ridge: float = 1e-8
-
-    BOUNDS = (
-        (">= 1", lambda v: v >= 1, ("pca_components",)),
-        (">= 0", lambda v: v >= 0, ("ridge",)),
-    )
-
-
-@dataclass
 class ExperimentConfig:
     seed: int = 0
     sample_rate_hz: float = 1024.0
@@ -83,7 +72,6 @@ class ExperimentConfig:
     forest: forest_mod.ForestConfig = field(default_factory=forest_mod.ForestConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     synth: SynthProfile = field(default_factory=SynthProfile)
-    adapt: AdaptSection = field(default_factory=AdaptSection)
 
     BOUNDS = (
         (">= 0", lambda v: v >= 0, ("seed",)),
@@ -191,7 +179,10 @@ def labels_for(config: ExperimentConfig, n_windows: int) -> np.ndarray:
 def window_count(signal: MultiChannelSignal, config: ExperimentConfig) -> int:
     """How many windows extraction cuts from the signal, skipped ones included."""
     ext = config.extraction_config()
-    return len(extract_windows(signal, ext.window_len, ext.stride))
+    if ext.window_len > signal.length:
+        raise InputError(f"window_len {ext.window_len} exceeds signal length {signal.length}")
+    stride = ext.window_len if ext.stride is None else ext.stride
+    return (signal.length - ext.window_len) // stride + 1
 
 
 @dataclass
@@ -355,28 +346,12 @@ def load_model(path) -> TrainedModel:
 # ---------------------------------------------------------------------------
 
 
-def align_features(source_X, target_X, config: ExperimentConfig) -> np.ndarray:
-    """Recolour target rows to the source's statistics in PCA space, then
-    map back to feature space so a source-trained model can consume them."""
-    source_X = np.atleast_2d(np.asarray(source_X, dtype=np.float64))
-    target_X = np.atleast_2d(np.asarray(target_X, dtype=np.float64))
-    d = source_X.shape[1]
-    k = config.adapt.pca_components
-    k = min(k, d, len(source_X) - 1) if k is not None else min(d, len(source_X) - 1)
-    pca = adapt_mod.pca_fit(source_X, k)
-    z_source = adapt_mod.pca_transform(pca, source_X)
-    z_target = adapt_mod.pca_transform(pca, target_X)
-    coral = adapt_mod.coral_fit(z_target, z_source, ridge=config.adapt.ridge)
-    return adapt_mod.pca_inverse(pca, adapt_mod.coral_apply(coral, z_target))
-
-
-def crossdomain_predictions(
-    model: TrainedModel, source_X, target_X, config: ExperimentConfig, target_index=None
-):
+def crossdomain_predictions(model: TrainedModel, source_X, target_X, target_index=None):
     """(aligned, unaligned) predictions of a source-trained model on target
-    features; the target's sequences follow its window index."""
-    aligned = model.predict(align_features(source_X, target_X, config), target_index)
-    return aligned, model.predict(target_X, target_index)
+    features, the aligned ones from target rows recoloured to the source's
+    statistics by CORAL; the target's sequences follow its window index."""
+    aligned = adapt_mod.coral_apply(adapt_mod.coral_fit(target_X, source_X), target_X)
+    return model.predict(aligned, target_index), model.predict(target_X, target_index)
 
 
 # ---------------------------------------------------------------------------

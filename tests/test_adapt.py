@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from carle.adapt import (
-    coral_apply,
-    coral_fit,
-    pca_fit,
-    pca_inverse,
-    pca_transform,
-)
+from carle.adapt import coral_apply, coral_fit, pca_fit
 from carle.errors import InputError, ParameterError
 
 
@@ -24,15 +18,17 @@ class TestPca:
         assert np.all(np.diff(model.explained_variance) <= 1e-12)
 
     def test_full_rank_reconstruction_exact(self, rng):
+        # at k = d the components are a rotation, so projecting and mapping
+        # back returns the rows
         X = rng.normal(size=(50, 4))
         model = pca_fit(X, 4)
-        Z = pca_transform(model, X)
-        assert np.allclose(pca_inverse(model, Z), X, atol=1e-8)
+        Z = (X - model.mean) @ model.components.T
+        assert np.allclose(Z @ model.components + model.mean, X, atol=1e-8)
 
     def test_transformed_training_data_has_diagonal_covariance(self, rng):
         X = rng.normal(size=(500, 5)) @ rng.normal(size=(5, 5))
         model = pca_fit(X, 5)
-        Z = pca_transform(model, X)
+        Z = (X - model.mean) @ model.components.T
         cov = np.cov(Z, rowvar=False)
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) < 1e-6 * max(1.0, np.max(np.abs(cov)))
@@ -62,8 +58,6 @@ class TestPca:
             pca_fit(X, 5)
         with pytest.raises(ParameterError):
             pca_fit(X, 0)
-        with pytest.raises(InputError):
-            pca_transform(pca_fit(X, 2), rng.normal(size=(3, 7)))
 
 
 class TestCoral:
@@ -119,6 +113,16 @@ class TestCoral:
             coral_fit(rng.normal(size=(50, 3)), rng.normal(size=(50, 4)))
         with pytest.raises(InputError):
             coral_fit(rng.normal(size=(3, 4)), rng.normal(size=(50, 4)))
+
+    def test_commutes_with_an_orthogonal_rotation(self, rng):
+        # a full-width PCA is a rotation R, so aligning the rotated rows and
+        # rotating back gives what aligning the raw rows gives
+        source = rng.normal(size=(300, 6)) @ rng.normal(size=(6, 6))
+        target = rng.normal(size=(200, 6)) @ rng.normal(size=(6, 6)) + rng.normal(size=6)
+        R = pca_fit(source, 6).components
+        rotated = coral_apply(coral_fit(target @ R.T, source @ R.T), target @ R.T) @ R
+        direct = coral_apply(coral_fit(target, source), target)
+        assert np.linalg.norm(rotated - direct) <= 1e-9 * np.linalg.norm(direct)
 
     def test_whitener_colorer_symmetric_positive(self, rng):
         X = rng.normal(size=(200, 4))

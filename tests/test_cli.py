@@ -765,19 +765,40 @@ def _deep_set(root, tmp_path):
 _deep_set.names = "--set seed"
 
 
-def _removed_key(command, override):
+def _removed_key(command, override, unknown=None):
     """Rows that run ``command`` with a --set of a key the config no longer
-    has: only the variant turns attention or residuals off, every RUL is
-    clamped to [0, 1], alignment runs in feature space and snr-sweep caps
+    has, which the message names as ``unknown`` (default: the key itself):
+    only the variant turns attention or residuals off, every RUL is clamped
+    to [0, 1], alignment is CORAL alone in feature space and snr-sweep caps
     its SNR itself."""
     def make_args(root, tmp_path):
-        return [
-            command, "--features", str(root / "feats.csv"), "--set", "training.epochs=2",
-            "--set", override,
-        ]
+        feats = str(root / "feats.csv")
+        if command == "crossdomain":
+            return [
+                command, "--checkpoint", str(root / "run" / "checkpoint.npz"),
+                "--source-features", feats, "--target-features", feats, "--set", override,
+            ]
+        return [command, "--features", feats, "--set", "training.epochs=2", "--set", override]
 
-    make_args.names = f"unknown config keys: [{override.split('=')[0]!r}]"
+    make_args.names = f"unknown config keys: [{unknown or override.split('=')[0]!r}]"
     return pytest.param(make_args, id=f"{command} {override}")
+
+
+def _crossdomain_domain(flag, name, edit, got):
+    """Rows that run crossdomain from the workspace checkpoint (7 features)
+    with ``flag`` naming a copy of the workspace features changed by
+    ``edit`` (a function of the feature matrix), which CORAL cannot align."""
+    def make_args(root, tmp_path):
+        X, _, idx = read_features_csv(root / "feats.csv")
+        X = edit(X)
+        path = tmp_path / name
+        write_features_csv(path, X, [f"f{i}" for i in range(X.shape[1])], idx[:len(X)])
+        feats = str(root / "feats.csv")
+        files = {"--source-features": feats, "--target-features": feats, flag: str(path)}
+        return ["crossdomain", "--checkpoint", str(root / "run" / "checkpoint.npz"), *sum(files.items(), ())]
+
+    make_args.names = f"{name}: crossdomain needs at least 8 rows of 7 features, got {got}"
+    return pytest.param(make_args, id=f"crossdomain {flag}={name}")
 
 
 def _signal_rows_narrower_than_header(root, tmp_path):
@@ -983,8 +1004,13 @@ def _run_carle(args):
         _removed_key("train", "model.cross_block_residual=true"),
         _removed_key("train", "model.standardize=false"),
         _removed_key("train", "forest.clamp_unit=false"),
-        _removed_key("ablate", "adapt.space=logit"),
+        _removed_key("ablate", "adapt.space=logit", unknown="adapt"),
         _removed_key("train", "snr_cap_db=90"),
+        _removed_key("crossdomain", "adapt.ridge=1e-6", unknown="adapt"),
+        _removed_key("train", "adapt.pca_components=3", unknown="adapt"),
+        _crossdomain_domain("--source-features", "src3.csv", lambda X: X[:3], "3 of 7"),
+        _crossdomain_domain("--target-features", "tgt14.csv", lambda X: np.hstack([X, X]), "48 of 14"),
+        _crossdomain_domain("--source-features", "src14.csv", lambda X: np.hstack([X, X]), "48 of 14"),
         _signal_rows_narrower_than_header,
         _unclosed_npy_header,
         _python2_npy_header,

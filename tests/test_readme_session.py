@@ -25,26 +25,26 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 PINS = {
     "STDOUT": "4b6fee03dafbe9e1",
-    "ablation/ablation.csv": "2ac779a956dbed01",
-    "ablation/cale.npz": "7d281de5b0204b19",
-    "ablation/carl.npz": "d06048e4d72319f2",
-    "ablation/carle.npz": "b15e727bfea5595b",
-    "ablation/crle.npz": "cc3e6c878b31e784",
-    "crossdomain.json": "10a948e6d9cd5f39",
-    "feats.csv": "ebf8e55e5c6a04ed",
-    "labels.csv": "09d2f26b652f2709",
-    "noise.json": "43a10c3d27222b8d",
-    "other_feats.csv": "193a1ba9fcc86aba",
-    "other_sig.csv": "ea422cf66252e426",
-    "pred.csv": "b3c6e890f597bfca",
-    "pred_metrics.json": "f46d558b9f72aebc",
-    "run/checkpoint.npz": "b15e727bfea5595b",
-    "run/history.csv": "c9824d77521a9ac4",
-    "run/metrics.json": "2ce9dfb0e8554ae1",
-    "run/predictions.csv": "b3c6e890f597bfca",
-    "sig.csv": "6d654da3ac548b65",
-    "sig_meta.json": "b8221c9e54035473",
-    "snr.csv": "6da8a3eb4925fc1d",
+    "ablation/ablation.csv": "d47f7158ce60cc3c",
+    "ablation/cale.npz": "0a2ca55190f338d3",
+    "ablation/carl.npz": "a411f96385b87ac8",
+    "ablation/carle.npz": "b37037c665f29837",
+    "ablation/crle.npz": "004778c8ac97c488",
+    "crossdomain.json": "0a3756cdc5ef1d55",
+    "feats.csv": "cfdb174dd81b5cdd",
+    "labels.csv": "d26bdcab0a92cd81",
+    "noise.json": "454cf9f10f281cae",
+    "other_feats.csv": "eaf19b742205ac43",
+    "other_sig.csv": "7e4c211d01f0065b",
+    "pred.csv": "1d9e10630b72726f",
+    "pred_metrics.json": "8cfabe0439f4ac6e",
+    "run/checkpoint.npz": "b37037c665f29837",
+    "run/history.csv": "83671f8785de105f",
+    "run/metrics.json": "596fdca8958686fe",
+    "run/predictions.csv": "1d9e10630b72726f",
+    "sig.csv": "44695862a032a764",
+    "sig_meta.json": "e96f9e7da0a0ad6b",
+    "snr.csv": "de211a91ce544fb7",
 }
 
 

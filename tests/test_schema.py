@@ -16,7 +16,7 @@ from carle.forest import ForestConfig
 from carle.labels import LabelConfig, make_labels
 from carle.nn import CarleNet, TrainConfig
 from carle.nn.train import train
-from carle.pipeline import AdaptSection, ExperimentConfig, ModelSection
+from carle.pipeline import ExperimentConfig, ModelSection
 from carle.signal import MultiChannelSignal, NoiseConfig, SynthConfig, inject_noise, synth_run_to_failure
 
 # one out-of-bound value of every bounded field, by section ("" is the top level)
@@ -40,7 +40,6 @@ OUT_OF_BOUND = {
         "onset_fraction": 1.0, "growth_rate": -0.5, "noise_std": -0.1, "burst_amp": -1.0,
         "burst_rate_hz": 0.0, "burst_decay_s": 0.0,
     },
-    "adapt": {"pca_components": 0, "ridge": -1.0},
 }
 
 # the numbers that take any finite value
@@ -64,7 +63,6 @@ ENTRY = {
     ),
     "noise": ("noise.", lambda kw: inject_noise(_SIGNAL, "gaussian", NoiseConfig(**kw), seed=0)),
     "synth": ("", lambda kw: synth_run_to_failure(SynthConfig(**{"duration_s": 1.0, **kw}), 0)),
-    "adapt": ("adapt.", lambda kw: ExperimentConfig(adapt=AdaptSection(**kw)).validate()),
 }
 
 
