@@ -44,6 +44,9 @@ class Layer:
         self.params = params
         self.grads = {key: np.zeros_like(p) for key, p in params.items()}
 
+    def layers(self):
+        return [self]
+
     def zero_grads(self):
         # in place: the arrays may be views of a network's flat gradient vector
         for g in self.grads.values():

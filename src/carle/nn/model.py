@@ -1,10 +1,16 @@
 """The four-block regression network: Res-CNN -> MHA -> Res-LSTM -> MHA -> Linear.
 
-The linear block emits a logit vector (the forest's input representation);
-a width-1 head on top of it provides the scalar output used for the
-network-only training phase. Ablation flags strip the attention blocks
-(use_mha=False) or the skip connections (use_residual=False); with both off
-the network reduces to a plain CNN -> LSTM -> dense stack.
+``CarleNet.blocks`` lists the blocks in forward order: the Res-CNN units,
+the CNN attention block, the Res-LSTM stack and the LSTM attention block.
+A forward runs them in that order, flattens, and runs the dense layers and
+the head; a backward runs them in reverse. The Res-CNN units and the
+Res-LSTM stack are each one ``Residual``, the one residual rule
+y = F(x) + skip(x). The linear block emits a logit vector (the forest's
+input representation); a width-1 head on top of it provides the scalar
+output used for the network-only training phase. Ablation flags strip the
+attention blocks (use_mha=False) or the skip connections
+(use_residual=False); with both off the network reduces to a plain
+CNN -> LSTM -> dense stack.
 """
 
 from dataclasses import dataclass
@@ -85,62 +91,70 @@ def get_profile(name: str) -> ModelProfile:
         raise ParameterError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}") from None
 
 
-class ResCnnUnit:
-    """Two (or one) same-padded convolutions with an optional skip connection.
-
-    y = relu(conv_chain(x) + skip(x)); the skip is the identity when channel
-    widths match and a bias-free 1x1 convolution otherwise. Intermediate
-    convolutions are followed by ReLU.
+class Residual:
+    """y = F(x) + skip(x) (He et al., 2016): F runs the ``chain`` layers in
+    order, and the skip is ``proj``, a bias-free projection where the widths
+    differ, or the identity when ``proj`` is None. Without ``use_residual``
+    nothing is added. With ``relu``, a ReLU follows every chain layer but
+    the last, and another follows the sum.
     """
 
-    def __init__(self, c_in, filters, kernels, l2, use_residual, rng, name):
-        self.use_residual = use_residual
-        self.convs = []
-        ch = c_in
-        for j, (f, k) in enumerate(zip(filters, kernels)):
-            self.convs.append(Conv1d(ch, f, k, rng, f"{name}.conv{j}", l2=l2))
-            ch = f
-        self.proj = None
-        if use_residual and c_in != ch:
-            self.proj = Conv1d(c_in, ch, 1, rng, f"{name}.proj", l2=l2, bias=False)
+    def __init__(self, chain, proj, use_residual, relu):
+        self.chain, self.proj = chain, proj
+        self.use_residual, self.relu = use_residual, relu
 
     def layers(self):
-        out = list(self.convs)
+        out = list(self.chain)
         if self.proj is not None:
             out.append(self.proj)
         return out
 
     def forward(self, x, keep=True):
         """With keep=False, caches nothing, as a layer forward does."""
-        relu_masks = []
+        masks = []  # masks[j]: the ReLU after chain layer j, the last one after the sum
         h = x
-        for idx, conv in enumerate(self.convs):
-            h = conv.forward(h, keep)
-            if idx < len(self.convs) - 1:
-                mask = h > 0
-                relu_masks.append(mask)
-                h = h * mask
+        for idx, layer in enumerate(self.chain):
+            h = layer.forward(h, keep)
+            if self.relu and idx < len(self.chain) - 1:
+                masks.append(h > 0)
+                h = h * masks[-1]
         if self.use_residual:
-            skip = self.proj.forward(x, keep) if self.proj is not None else x
-            h = h + skip
-        out_mask = h > 0
+            h = h + (self.proj.forward(x, keep) if self.proj is not None else x)
+        if self.relu:
+            masks.append(h > 0)
+            h = h * masks[-1]
         if keep:
-            self._relu_masks, self._out_mask = relu_masks, out_mask
-        return h * out_mask
+            self._masks = masks
+        return h
 
     def backward(self, dout):
-        dh = dout * self._out_mask
+        d = dout * self._masks[-1] if self.relu else dout
         dskip = None
         if self.use_residual:
-            dskip = self.proj.backward(dh) if self.proj is not None else dh
-        d = dh
-        for idx in range(len(self.convs) - 1, -1, -1):
-            d = self.convs[idx].backward(d)
-            if idx > 0:
-                d = d * self._relu_masks[idx - 1]
+            dskip = self.proj.backward(d) if self.proj is not None else d
+        for idx in range(len(self.chain) - 1, -1, -1):
+            if self.relu and idx < len(self.chain) - 1:
+                d = d * self._masks[idx]
+            d = self.chain[idx].backward(d)
         if dskip is not None:
             d = d + dskip
         return d
+
+
+class ResCnnUnit(Residual):
+    """Two (or one) same-padded convolutions as a ReLU ``Residual``; the skip
+    is a bias-free 1x1 convolution where the channel widths differ."""
+
+    def __init__(self, c_in, filters, kernels, l2, use_residual, rng, name):
+        self.convs = []
+        ch = c_in
+        for j, (f, k) in enumerate(zip(filters, kernels)):
+            self.convs.append(Conv1d(ch, f, k, rng, f"{name}.conv{j}", l2=l2))
+            ch = f
+        proj = None
+        if use_residual and c_in != ch:
+            proj = Conv1d(c_in, ch, 1, rng, f"{name}.proj", l2=l2, bias=False)
+        super().__init__(self.convs, proj, use_residual, relu=True)
 
 
 class CarleNet:
@@ -156,48 +170,43 @@ class CarleNet:
             profile = get_profile(profile)
         self.profile = profile
         self.input_width = input_width
-        self.use_residual = use_residual
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        # Every layer in construction order, which is the order of the
-        # initial weights' random draws; parameters(), the flat vectors and
-        # a checkpoint's nn:: members all follow it.
-        self.layers = []
-
+        # Layers are built block by block in forward order, the order of the
+        # initial weights' random draws; self.layers, parameters(), the flat
+        # vectors and a checkpoint's nn:: members all follow it.
+        attention = (profile.mha_heads, profile.mha_model_dim, rng)
         self.cnn_units = []
         ch = input_width
         for j in range(0, len(profile.conv_filters), 2):
             fs, ks = profile.conv_filters[j:j + 2], profile.conv_kernels[j:j + 2]
             unit = ResCnnUnit(ch, fs, ks, profile.conv_l2, use_residual, rng, f"res_cnn.unit{j // 2}")
             self.cnn_units.append(unit)
-            self.layers += unit.layers()
             ch = fs[-1]
-        self.cnn_mha = None
-        if use_mha:
-            self.cnn_mha = self._add(
-                MultiHeadAttention(ch, profile.mha_heads, profile.mha_model_dim, rng, "res_cnn.mha")
-            )
+        self.cnn_mha = MultiHeadAttention(ch, *attention, "res_cnn.mha") if use_mha else None
 
         self.lstms = []
         d = ch
         for j, units in enumerate(profile.lstm_units):
-            self.lstms.append(self._add(Lstm(d, units, rng, f"res_lstm.lstm{j}")))
+            self.lstms.append(Lstm(d, units, rng, f"res_lstm.lstm{j}"))
             d = units
         self.lstm_proj = None
         if use_residual and ch != d:
-            self.lstm_proj = self._add(Dense(ch, d, rng, "res_lstm.proj", bias=False))
-        self.lstm_mha = None
-        if use_mha:
-            self.lstm_mha = self._add(
-                MultiHeadAttention(d, profile.mha_heads, profile.mha_model_dim, rng, "res_lstm.mha")
-            )
+            self.lstm_proj = Dense(ch, d, rng, "res_lstm.proj", bias=False)
+        self.lstm_mha = MultiHeadAttention(d, *attention, "res_lstm.mha") if use_mha else None
+
+        res_lstm = Residual(self.lstms, self.lstm_proj, use_residual, relu=False)
+        blocks = (*self.cnn_units, self.cnn_mha, res_lstm, self.lstm_mha)
+        self.blocks = [block for block in blocks if block is not None]
 
         self.denses = []
         d_flat = profile.seq_len * d
         for j, units in enumerate(profile.linear_units):
             act = "relu" if j < len(profile.linear_units) - 1 else None
-            self.denses.append(self._add(Dense(d_flat, units, rng, f"linear.dense{j}", activation=act)))
+            self.denses.append(Dense(d_flat, units, rng, f"linear.dense{j}", activation=act))
             d_flat = units
-        self.head = self._add(Dense(d_flat, 1, rng, "head"))
+        self.head = Dense(d_flat, 1, rng, "head")
+        owners = (*self.blocks, *self.denses, self.head)
+        self.layers = [layer for owner in owners for layer in owner.layers()]
 
         # The net owns its parameter storage: every layer's params and grads
         # become views of one weight and one gradient vector (a flat
@@ -214,10 +223,6 @@ class CarleNet:
                 offset = end
 
     # -- plumbing ----------------------------------------------------------
-
-    def _add(self, layer):
-        self.layers.append(layer)
-        return layer
 
     def parameters(self):
         """Ordered (name, array) pairs; arrays are live references."""
@@ -278,20 +283,9 @@ class CarleNet:
         backward follows, leaves every layer cache as it was.
         """
         h = self._checked(batch)
-        for unit in self.cnn_units:
-            h = unit.forward(h, keep)
-        if self.cnn_mha is not None:
-            h = self.cnn_mha.forward(h, keep)
-
-        g = h
-        for lstm in self.lstms:
-            g = lstm.forward(g, keep)
-        if self.use_residual:
-            g = g + (self.lstm_proj.forward(h, keep) if self.lstm_proj is not None else h)
-        if self.lstm_mha is not None:
-            g = self.lstm_mha.forward(g, keep)
-
-        z = g.reshape(len(g), -1)
+        for block in self.blocks:
+            h = block.forward(h, keep)
+        z = h.reshape(len(h), -1)
         for dense in self.denses:
             z = dense.forward(z, keep)
         logits = z
@@ -306,22 +300,9 @@ class CarleNet:
         dz = self.head.backward(np.asarray(dpred)[:, None])
         for dense in reversed(self.denses):
             dz = dense.backward(dz)
-        dg = dz.reshape(len(dz), self.profile.seq_len, -1)
-
-        if self.lstm_mha is not None:
-            dg = self.lstm_mha.backward(dg)
-        dh_skip = 0.0
-        if self.use_residual:
-            dh_skip = self.lstm_proj.backward(dg) if self.lstm_proj is not None else dg
-        d = dg
-        for lstm in reversed(self.lstms):
-            d = lstm.backward(d)
-        dh = d + dh_skip
-
-        if self.cnn_mha is not None:
-            dh = self.cnn_mha.backward(dh)
-        for unit in reversed(self.cnn_units):
-            dh = unit.backward(dh)
+        dh = dz.reshape(len(dz), self.profile.seq_len, -1)
+        for block in reversed(self.blocks):
+            dh = block.backward(dh)
         return dh
 
     def reg_loss(self) -> float:

@@ -62,11 +62,10 @@ def _checked(key: str, value, annotation):
 
 
 def check(config, prefix: str = ""):
-    """``config`` if each field passes the test of its class's ``BOUNDS`` row
-    (a name the class lacks is skipped), each number is finite, and None stands
-    only where the field's annotation allows it; nested sections are checked
-    too. Otherwise ParameterError names the first field that fails by its
-    dotted key, ``prefix`` + name."""
+    """``config`` if each field passes the test of its class's ``BOUNDS`` row,
+    each number is finite, and None stands only where the field's annotation
+    allows it; nested sections are checked too. Otherwise ParameterError
+    names the first field that fails by its dotted key, ``prefix`` + name."""
     rules = {name: (bound, test) for bound, test, names in type(config).BOUNDS for name in names}
     for f in dataclasses.fields(config):
         value, types = getattr(config, f.name), typing.get_args(f.type) or (f.type,)

@@ -76,12 +76,17 @@ def gaussian_filter(signal: MultiChannelSignal, sigma: float) -> MultiChannelSig
     return MultiChannelSignal(out, signal.sample_rate_hz)
 
 
-def snr_sweep(signal: MultiChannelSignal, sigmas, cap_db: float = 120.0):
+# snr_sweep's SNR ceiling, in dB, for a residual of zero power
+SNR_CAP_DB = 120.0
+
+
+def snr_sweep(signal: MultiChannelSignal, sigmas):
     """Signal-to-noise ratio of the smoothed signal for each kernel width.
 
     SNR_dB = 10*log10(P_filtered / P_residual) with residual = raw - filtered
-    and P the mean squared amplitude over all channels. A zero-power residual
-    (including sigma = 0, where filtering is the identity) yields ``cap_db``.
+    and P the mean squared amplitude over all channels, at most SNR_CAP_DB.
+    A zero-power residual (including sigma = 0, where filtering is the
+    identity) yields SNR_CAP_DB.
     Returns a list of (sigma, snr_db) pairs.
     """
     sigmas = [float(s) for s in sigmas]
@@ -95,16 +100,16 @@ def snr_sweep(signal: MultiChannelSignal, sigmas, cap_db: float = 120.0):
     results = []
     for s in sigmas:
         if s == 0.0:
-            results.append((s, cap_db))
+            results.append((s, SNR_CAP_DB))
             continue
         filtered = gaussian_filter(signal, s)
         residual = signal.channels - filtered.channels
         p_filt = float(np.mean(filtered.channels**2))
         p_res = float(np.mean(residual**2))
         if p_res <= 0.0 or p_filt <= 0.0:
-            results.append((s, cap_db))
+            results.append((s, SNR_CAP_DB))
         else:
-            results.append((s, min(cap_db, 10.0 * math.log10(p_filt / p_res))))
+            results.append((s, min(SNR_CAP_DB, 10.0 * math.log10(p_filt / p_res))))
     return results
 
 
@@ -210,10 +215,8 @@ class SynthProfile:
     burst_rate_hz: float = 12.0
     burst_decay_s: float = 0.01
 
-    # sample_rate_hz is SynthConfig's
     BOUNDS = (
-        ("positive", lambda v: v > 0,
-         ("rotation_hz", "sample_rate_hz", "duration_s", "burst_rate_hz", "burst_decay_s")),
+        ("positive", lambda v: v > 0, ("rotation_hz", "duration_s", "burst_rate_hz", "burst_decay_s")),
         (">= 0", lambda v: v >= 0, ("noise_std", "burst_amp", "growth_rate")),
         (">= 1", lambda v: v >= 1, ("channel_count",)),
         ("in [0,1)", lambda v: 0 <= v < 1, ("onset_fraction",)),
@@ -228,6 +231,8 @@ class SynthConfig(SynthProfile):
     rotation_hz: float = 35.0
     sample_rate_hz: float = 1024.0
 
+    BOUNDS = SynthProfile.BOUNDS + (("positive", lambda v: v > 0, ("sample_rate_hz",)),)
+
 
 def synth_run_to_failure(config: SynthConfig, seed: int):
     """Generate a synthetic run-to-failure recording.
@@ -237,8 +242,14 @@ def synth_run_to_failure(config: SynthConfig, seed: int):
     generation.
     """
     schema.check(config)
-    rng = np.random.default_rng(seed)
     fs = config.sample_rate_hz
+    # a burst starts at a sample; past one burst a sample the loop below
+    # slows, and stalls once the mean gap is under half an ulp of pos
+    if config.burst_rate_hz > fs:
+        raise ParameterError(
+            f"burst_rate_hz must be at most sample_rate_hz ({fs}), got {config.burst_rate_hz}"
+        )
+    rng = np.random.default_rng(seed)
     n = int(round(config.duration_s * fs))
     t = np.arange(n) / fs
     onset_t = config.onset_fraction * config.duration_s

@@ -960,6 +960,7 @@ def _run_carle(args):
         _synth_with("--seed=-1"),
         _synth_with("--set=synth.burst_rate_hz=0"),
         _synth_with("--set=synth.burst_rate_hz=-1"),
+        _synth_with("--set=synth.burst_rate_hz=1025"),
         _synth_with("--set=synth.burst_decay_s=0"),
         _synth_with("--rotation-hz=nan"),
         _synth_with("--rotation-hz=inf"),

@@ -5,7 +5,7 @@ import pytest
 
 from carle.errors import ParameterError
 from carle.nn.layers import Conv1d, Dense, Lstm, MultiHeadAttention, _sigmoid, _softmax
-from carle.nn.model import CarleNet, ResCnnUnit, get_profile
+from carle.nn.model import CarleNet, ResCnnUnit, Residual, get_profile
 from conftest import jiggle_biases, layer_gradcheck
 
 TOL = 1e-4
@@ -226,7 +226,8 @@ class TestMultiHeadAttention:
 
 
 class _UnitWrapper:
-    """Adapt ResCnnUnit to the layer_gradcheck interface."""
+    """Adapt a Residual (a ResCnnUnit or an LSTM stack) to the
+    layer_gradcheck interface."""
 
     def __init__(self, unit):
         self.unit = unit
@@ -280,3 +281,36 @@ class TestResCnnUnit:
             conv.params["b"][...] = 0.0
         x = rng.normal(size=(2, 6, 3))
         assert np.array_equal(unit.forward(x), np.maximum(x, 0.0))
+
+
+class TestResidualLstm:
+    """The Res-LSTM stack's form of the residual block: no ReLU, and a
+    bias-free Dense skip where the widths differ."""
+
+    @staticmethod
+    def _stack(rng, d_in, units, use_residual):
+        lstms = [Lstm(d_in, units[0], rng, "l0"), Lstm(units[0], units[1], rng, "l1")]
+        proj = None
+        if use_residual and d_in != units[1]:
+            proj = Dense(d_in, units[1], rng, "proj", bias=False)
+        for lstm in lstms:
+            jiggle_biases(lstm, rng)
+        return Residual(lstms, proj, use_residual, relu=False)
+
+    def test_gradcheck_with_projection(self, rng):
+        block = self._stack(rng, 3, (4, 4), True)
+        assert block.proj is not None
+        wp, wx = layer_gradcheck(_UnitWrapper(block), rng.normal(size=(2, 4, 3)), rng=rng)
+        assert wp < TOL and wx < TOL
+
+    def test_gradcheck_identity_skip(self, rng):
+        block = self._stack(rng, 3, (4, 3), True)
+        assert block.proj is None
+        wp, wx = layer_gradcheck(_UnitWrapper(block), rng.normal(size=(2, 4, 3)), rng=rng)
+        assert wp < TOL and wx < TOL
+
+    def test_gradcheck_no_residual(self, rng):
+        block = self._stack(rng, 3, (4, 4), False)
+        assert block.proj is None
+        wp, wx = layer_gradcheck(_UnitWrapper(block), rng.normal(size=(2, 4, 3)), rng=rng)
+        assert wp < TOL and wx < TOL

@@ -113,6 +113,23 @@ def test_no_number_escapes_the_bounds_tables():
     assert {key for key, _, bounded in fields if bounded} == tested
 
 
+def _config_classes(cls):
+    """``cls`` and the classes of its nested sections."""
+    yield cls
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from _config_classes(f.type)
+
+
+@pytest.mark.parametrize(
+    "cls", [*_config_classes(ExperimentConfig), SynthConfig], ids=lambda cls: cls.__name__
+)
+def test_bounds_name_only_fields_of_their_class(cls):
+    # check skips a name its class lacks, so a misplaced row would bound nothing
+    named = {name for _, _, names in cls.BOUNDS for name in names}
+    assert named - {f.name for f in dataclasses.fields(cls)} == set()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_unbounded_numbers_must_be_finite(value):
     with pytest.raises(ParameterError, match=r"^noise\.gaussian_mean must be finite, got"):

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from carle.errors import InputError, ParameterError
 from carle.signal import (
+    SNR_CAP_DB,
     MultiChannelSignal,
     NoiseConfig,
     SynthConfig,
@@ -119,9 +121,9 @@ class TestSnrSweep:
         assert [snr for _, snr in res] == [120.0, 120.0, 120.0]
 
     def test_sigma_zero_entry_returns_cap(self):
-        res = snr_sweep(_sig([[1.0, 2.0, 3.0, 2.0] * 16]), [0.0, 1.0], cap_db=90.0)
-        assert res[0] == (0.0, 90.0)
-        assert res[1][1] < 90.0
+        res = snr_sweep(_sig([[1.0, 2.0, 3.0, 2.0] * 16]), [0.0, 1.0])
+        assert res[0] == (0.0, SNR_CAP_DB)
+        assert res[1][1] < SNR_CAP_DB
 
     def test_noisy_sine_non_increasing_after_knee(self, rng):
         t = np.arange(2048) / 1000.0
@@ -286,6 +288,18 @@ class TestSynth:
         config = SynthConfig(**{"duration_s": 1.0, name: value})
         with pytest.raises(ParameterError, match=f"^{name} must be finite"):
             synth_run_to_failure(config, seed=0)
+
+    @pytest.mark.parametrize("rate", [1025.0, 1e300])
+    def test_burst_rate_above_sample_rate_refused(self, rate):
+        # refused before the burst walk, which a mean gap under half an ulp
+        # of its position would never end
+        message = f"burst_rate_hz must be at most sample_rate_hz (1024.0), got {rate}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            synth_run_to_failure(SynthConfig(burst_rate_hz=rate), seed=0)
+
+    def test_burst_rate_of_sample_rate_accepted(self):
+        sig, _ = synth_run_to_failure(SynthConfig(duration_s=0.5, burst_rate_hz=1024.0), seed=0)
+        assert sig.length == 512
 
     def test_bad_config(self):
         with pytest.raises(ParameterError):
